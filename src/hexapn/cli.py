@@ -1,7 +1,7 @@
 """Command-line surface: search, verify, theory, invariants, sympoly, repro-appendix.
 
-Exit codes: 0 success, 2 usage (argparse), 3 bad field spec or element text,
-4 gate violation, 5 unreadable input file.
+Exit codes: 0 success, 2 usage (argparse, bad search sizes), 3 bad field
+spec or element text, 4 gate violation, 5 unreadable input file.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .search import (
     run as run_search,
 )
 
+EXIT_USAGE = 2
 EXIT_BAD_SPEC = 3
 EXIT_GATE = 4
 EXIT_BAD_INPUT = 5
@@ -102,14 +103,17 @@ def cmd_search(args) -> int:
         filters = parse_filters(args.filters)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_SPEC) from None
-    job = SearchJob(
-        field=ctx.spec,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        filters=filters,
-        shards=args.shards,
-    )
+    try:
+        job = SearchJob(
+            field=ctx.spec,
+            mode=args.mode,
+            samples=args.samples,
+            seed=args.seed,
+            filters=filters,
+            shards=args.shards,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from None
     try:
         res = run_search(job)
     except SearchGateError as exc:
@@ -158,19 +162,33 @@ def cmd_theory(args) -> int:
     return 0
 
 
+def _read_hits(ctx, path: str) -> list[Coeffs]:
+    """Tuples of a JSONL hit stream; any bad line is unreadable input."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT) from None
+    tuples = []
+    for no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            spec = parse_field_spec(rec["field"])
+            if spec != ctx.spec:
+                raise ValueError(f"record field {spec} differs from --field {ctx.spec}")
+            tuples.append(Coeffs(*(ctx.parse_elem(rec[k]) for k in "ABCDE")))
+        except KeyError as exc:
+            raise CliError(f"{path}:{no}: record lacks {exc}", EXIT_BAD_INPUT) from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise CliError(f"{path}:{no}: {exc}", EXIT_BAD_INPUT) from None
+    return tuples
+
+
 def cmd_invariants(args) -> int:
     ctx = _ctx(args)
     if args.hits:
-        try:
-            lines = Path(args.hits).read_text().splitlines()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.hits}: {exc}", EXIT_BAD_INPUT) from None
-        tuples = []
-        for line in lines:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            tuples.append(Coeffs(*(ctx.parse_elem(rec[k]) for k in "ABCDE")))
+        tuples = _read_hits(ctx, args.hits)
         try:
             groups = partition_by_fingerprint(
                 ctx, tuples, with_ranks=args.ranks, force=args.force_gate
@@ -246,10 +264,11 @@ def cmd_repro_appendix(args) -> int:
     fields = ["F4"] + (["F16"] if args.full else [])
     for fname in fields:
         spec = NAMED_SPECS[fname]
+        ctx = make_field(spec)
         census = gcd_regime_census(spec, full_scan=(fname == "F4"))
         cj = census.to_json()
         cj["exceptional_tuples"] = [
-            [make_field(spec).format_elem(z) for z in t] for t in census.exceptional_tuples
+            [ctx.format_elem(z) for z in t] for t in census.exceptional_tuples
         ]
         (out / f"census_{fname.lower()}.json").write_text(
             json.dumps(cj, indent=2, sort_keys=True) + "\n"
@@ -259,7 +278,6 @@ def cmd_repro_appendix(args) -> int:
         (out / f"search_{fname.lower()}_manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
-        ctx = make_field(spec)
         with open(out / f"search_{fname.lower()}_hits.jsonl", "w") as fh:
             for c in res.apn_hits:
                 fh.write(json.dumps(_hit_record(ctx, c), sort_keys=True) + "\n")
@@ -292,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     sp.add_argument("--samples", type=int, default=0, help="random mode: accepted candidates")
     sp.add_argument("--seed", type=int, help="random mode: required seed")
-    sp.add_argument("--shards", type=int, default=1)
+    sp.add_argument("--shards", type=int, default=1,
+                    help="work parts; results do not depend on it, and at most "
+                         "the CPU count run at once")
     sp.add_argument("--filters", default="theory",
                     help="theory|plain|none or comma list (a-nonzero, exclude-c1c2, "
                          "exclude-obstruction, prioritized, cases=...)")

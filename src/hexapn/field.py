@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +27,7 @@ log = logging.getLogger(__name__)
 
 MAX_DEGREE = 32        # fields beyond GF(2^32) are out of scope
 TABLE_MAX_DEGREE = 16  # log/antilog tables up to GF(2^16)
+NP_MUL_MAX_SIZE = 1024  # full numpy multiplication table up to GF(2^10)
 
 
 class ReducibleModulusError(ValueError):
@@ -151,6 +151,15 @@ def parse_field_spec(text: str) -> FieldSpec:
     return FieldSpec(degree // 2, modulus)
 
 
+class _NoMulTable:
+    """FieldCtx.np_mul where no table was built: reading it raises ValueError."""
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        raise ValueError(f"multiplication table too large for {ctx.spec}")
+
+
 class FieldCtx:
     """Immutable GF(2^(2m)) context; all operations are pure.
 
@@ -226,6 +235,16 @@ class FieldCtx:
         if any(t not in (0, 1) for t in tr):
             raise AssertionError("absolute trace left GF(2)")
         self.trace2_table = tr
+        # numpy views for the batch kernels. Plain attributes, set here: a
+        # cached_property would write through __dict__, and under CPython 3.11
+        # touching an instance's __dict__ slows every later attribute lookup.
+        self.np_frob = np.array(frob, dtype=np.uint16)
+        self.np_trace2 = np.array(tr, dtype=np.int8)
+        if self.size <= NP_MUL_MAX_SIZE:
+            lg = np.array(logt[1:], dtype=np.intp)
+            t = np.zeros((self.size, self.size), dtype=np.uint16)
+            t[1:, 1:] = np.array(exp, dtype=np.uint16)[lg[:, None] + lg[None, :]]
+            self.np_mul = t
 
     def _table_mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -292,11 +311,6 @@ class FieldCtx:
     def norm_rel(self, z: int) -> int:
         """Relative norm to GF(q): z * z^q."""
         return self.mul(z, self.frob_q(z))
-
-    def trace_norm_rel(self, z: int) -> tuple[int, int]:
-        """(trace, norm) to GF(q); both land in the subfield."""
-        zq = self.frob_q(z)
-        return z ^ zq, self.mul(z, zq)
 
     def trace2(self, z: int) -> int:
         """Absolute trace GF(q^2) -> GF(2)."""
@@ -371,28 +385,9 @@ class FieldCtx:
         prim = {True: "a primitive", False: "a not primitive", None: "untabled"}
         return f"FieldCtx({self.spec}, {prim[self.x_is_generator]})"
 
-    # -- numpy views (used by the batch kernels) ------------------------------
-
-    @cached_property
-    def np_mul(self) -> np.ndarray:
-        """Full multiplication table as uint16; only for small fields."""
-        if self.size > 1024:
-            raise ValueError(f"multiplication table too large for {self.spec}")
-        n = self.size
-        t = np.zeros((n, n), dtype=np.uint16)
-        for a in range(1, n):
-            la = self.log[a]
-            row = [self.exp[la + self.log[b]] for b in range(1, n)]
-            t[a, 1:] = row
-        return t
-
-    @cached_property
-    def np_frob(self) -> np.ndarray:
-        return np.array(self.frob_table, dtype=np.uint16)
-
-    @cached_property
-    def np_trace2(self) -> np.ndarray:
-        return np.array(self.trace2_table, dtype=np.int8)
+    # Set in _build_tables for fields of at most NP_MUL_MAX_SIZE elements,
+    # where the instance attribute shadows this class-level guard.
+    np_mul = _NoMulTable()
 
 
 def make_field(spec: FieldSpec) -> FieldCtx:

@@ -104,9 +104,6 @@ def to_univariate(ctx: FieldCtx, c: Coeffs) -> UnivariateForm:
     return UnivariateForm(list(merged.items()))
 
 
-_TERM_RE = re.compile(r"^\s*(?:\(([^)]*)\)|([^()\s]+(?:\s*\+\s*[^()\sx][^()\s]*)*?))?\s*\*?\s*x\^(\d+)\s*$")
-
-
 def parse_univariate(ctx: FieldCtx, text: str) -> UnivariateForm:
     """Inverse of UnivariateForm.format for both coefficient styles."""
     text = text.strip()

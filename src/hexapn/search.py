@@ -4,17 +4,24 @@ Exhaustive mode sweeps (A, B, C) blocks with a vectorized (D, E) kernel and
 is deterministically shardable: shards split the block range, and results
 are independent of the shard count. Random mode draws tuples from
 counter-mode streams addressed by sample index (see rng), which again makes
-the output independent of sharding.
+the output independent of sharding. Both modes keep exactly the tuples that
+passes_filters keeps; shards run on at most os.cpu_count() processes.
 
 Filter presets:
   theory A != 0, drop C1/C2, drop the generic obstruction (C6 with h1 != 0).
          This is the universe behind the reference APN hit counts.
   plain  A != 0, drop C1/C2 only.
   none   every tuple tested.
+
+Filter tokens, combined with commas: a-nonzero, exclude-c1c2,
+exclude-obstruction (the clauses of the presets), prioritized (drop tuples
+whose theory verdict is 'excluded' or 'not-apn') and cases=i;j;... (keep
+tuples matching at least one of the listed summary cases).
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -112,6 +119,8 @@ class SearchJob:
             raise ValueError("random mode requires an explicit seed")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
+        if self.samples < 0:
+            raise ValueError("samples must be >= 0")
 
 
 @dataclass
@@ -136,14 +145,25 @@ def index_tuple(idx: int, n: int) -> Coeffs:
     return Coeffs(idx, b, cc, d, e)
 
 
-def passes_filters(ctx: FieldCtx, c: Coeffs, filters: SearchFilters) -> bool:
-    if filters.require_a_nonzero and c.A == 0:
-        return False
+def _closed_form_drop(ctx, c: Coeffs, filters: SearchFilters):
+    """True where the A != 0, C1/C2 or obstruction clause drops the tuple.
+
+    Works on ints and, through an _ArrayField context, on coefficient arrays
+    that broadcast against each other.
+    """
+    drop = False
+    if filters.require_a_nonzero:
+        drop = drop | (c.A == 0)
     if filters.exclude_c1c2:
         c1, c2 = cond_C1_C2(ctx, c)
-        if c1 or c2:
-            return False
-    if filters.exclude_obstruction and cond_C6(ctx, c) and h1_value(ctx, c) != 0:
+        drop = drop | c1 | c2
+    if filters.exclude_obstruction:
+        drop = drop | (cond_C6(ctx, c) & (h1_value(ctx, c) != 0))
+    return drop
+
+
+def passes_filters(ctx: FieldCtx, c: Coeffs, filters: SearchFilters) -> bool:
+    if _closed_form_drop(ctx, c, filters):
         return False
     if filters.prioritized and predict_verdict(ctx, c).kind in ("excluded", "not-apn"):
         return False
@@ -152,73 +172,70 @@ def passes_filters(ctx: FieldCtx, c: Coeffs, filters: SearchFilters) -> bool:
     return True
 
 
+def _run(job: SearchJob, worker, total: int, verify: bool) -> SearchResult:
+    """Map worker over the shards, then merge, re-verify and count.
+
+    worker(job, lo, hi) runs one of job.shards contiguous parts of
+    range(total) and returns (hit indices, tested, skipped_by_filter). The
+    shard count alone fixes the partition; at most os.cpu_count() processes
+    run the parts.
+    """
+    ctx = make_field(job.field)
+    t0 = time.time()
+    bounds = [total * i // job.shards for i in range(job.shards + 1)]
+    args = [(job, bounds[i], bounds[i + 1]) for i in range(job.shards)]
+    if job.shards == 1:
+        parts = [worker(args[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=min(job.shards, os.cpu_count() or 1)) as pool:
+            parts = list(pool.map(worker, args))
+    hit_lists, tested, skipped = zip(*parts)
+    n = ctx.size
+    hits = [index_tuple(i, n) for i in sorted(set().union(*hit_lists))]
+    if verify:
+        for c in hits:
+            if not (is_apn_ddt(ctx, c, early_abort=False) and is_apn_equation(ctx, c)):
+                raise AssertionError(f"hit {c} failed independent re-verification")
+    counters = {
+        "universe": n ** 5,
+        "tested": sum(tested),
+        "skipped_by_filter": sum(skipped),
+        "apn": len(hits),
+        "permutations": sum(is_permutation(ctx, c) for c in hits),
+    }
+    manifest = {
+        "field": str(job.field),
+        "mode": job.mode,
+        "filters": job.filters.label(),
+        "seed": job.seed if job.mode == "random" else None,
+        "shards": job.shards,
+        "wall_time_s": round(time.time() - t0, 3),
+        "tool_version": __version__,
+    }
+    return SearchResult(hits, counters, manifest)
+
+
 # -- exhaustive ----------------------------------------------------------------
 
 
-class _BlockFilter:
-    """Vectorized filter masks over the (D, E) plane of one (A, B, C) block."""
+class _ArrayField:
+    """ctx.mul and ctx.frob_q on numpy index arrays, for the theory predicates."""
 
     def __init__(self, ctx: FieldCtx):
-        n = ctx.size
-        mul = ctx.np_mul
-        zs = np.arange(n, dtype=np.uint16)
-        frob = ctx.np_frob
-        self.ctx = ctx
-        self.n = n
-        self.mul = mul
-        self.zs = zs
-        self.frob = frob
-        self.norm = mul[zs, frob[zs]]  # z^(q+1)
-
-    def mask(self, A: int, B: int, C: int, filters: SearchFilters) -> np.ndarray:
-        """True where the tuple (A, B, C, D, E) is kept; shape (N, N) over (D, E)."""
-        ctx, n, mul = self.ctx, self.n, self.mul
-        keep = np.ones((n, n), dtype=bool)
-        if A == 0:
-            if filters.require_a_nonzero:
-                keep[:] = False
-            return keep
-        Aq, Bq, Cq = ctx.frob_q(A), ctx.frob_q(B), ctx.frob_q(C)
-        if filters.exclude_c1c2:
-            b_ok = ctx.mul(Aq, B) == Bq
-            e_ok = mul[Aq, self.zs] == self.frob[self.zs]  # A^q E == E^q per E
-            if C == 0 and b_ok:
-                keep[0, :] &= ~e_ok  # C1 at D = 0
-            if C != 0 and ctx.mul(A, Aq) == 1 and b_ok:
-                d_t = ctx.mul(A, Cq)
-                if d_t != 0:
-                    keep[d_t, :] &= ~e_ok  # C2 at D = A C^q
-        if filters.exclude_obstruction:
-            ds = self.zs
-            nA, nC = ctx.norm_rel(A), ctx.norm_rel(C)
-            c6 = (mul[A, self.frob[ds]] ^ C != 0) | ((nA ^ nC ^ self.norm[ds] ^ 1) != 0)
-            B2 = ctx.mul(B, B)
-            B2q = ctx.mul(Bq, Bq)
-            Bq1 = ctx.mul(B, Bq)
-            h1_const = (
-                ctx.mul(ctx.mul(A, Aq), Bq1)
-                ^ ctx.mul(A, B2q)
-                ^ ctx.mul(Aq, B2)
-                ^ ctx.mul(Bq1, nC)
-                ^ Bq1
-            )
-            h1 = (
-                h1_const
-                ^ mul[ctx.mul(B2, Cq), self.frob[ds]]
-                ^ mul[Bq1, self.norm[ds]]
-                ^ mul[ctx.mul(B2q, C), ds]
-            )
-            keep &= ~(c6 & (h1 != 0))[:, None]
-        return keep
+        self.mul = lambda a, b: ctx.np_mul[a, b]
+        self.frob_q = ctx.np_frob.__getitem__
 
 
 def _sweep_blocks(ctx: FieldCtx, lo: int, hi: int, filters: SearchFilters):
     """Run blocks [lo, hi) of the (A, B, C) range; returns (hits, tested, skipped)."""
     n = ctx.size
     bt = BatchTables(ctx)
-    bf = _BlockFilter(ctx)
-    ds = np.repeat(np.arange(n, dtype=np.uint16), n)
-    es = np.tile(np.arange(n, dtype=np.uint16), n)
+    actx = _ArrayField(ctx)
+    zs = np.arange(n, dtype=np.uint16)
+    d_col, e_row = zs[:, None], zs[None, :]  # E-free terms: once per D, broadcast
+    ds = np.repeat(zs, n)
+    es = np.tile(zs, n)
+    rescan = filters.prioritized or bool(filters.cases)
     hits: list[int] = []
     tested = 0
     skipped = 0
@@ -226,28 +243,28 @@ def _sweep_blocks(ctx: FieldCtx, lo: int, hi: int, filters: SearchFilters):
         A = blk // (n * n)
         B = (blk // n) % n
         C = blk % n
-        keep = bf.mask(A, B, C, filters).reshape(-1)
-        kcount = int(keep.sum())
-        skipped += n * n - kcount
-        tested += kcount
-        if kcount == 0:
+        drop = _closed_form_drop(actx, Coeffs(A, B, C, d_col, e_row), filters)
+        idx = np.flatnonzero(~np.broadcast_to(drop, (n, n)))
+        if rescan:
+            keep = [passes_filters(ctx, Coeffs(A, B, C, int(ds[i]), int(es[i])), filters)
+                    for i in idx]
+            idx = idx[np.array(keep, dtype=bool)]
+        skipped += n * n - idx.size
+        tested += idx.size
+        if idx.size == 0:
             continue
-        idx = np.nonzero(keep)[0]
-        sub_d, sub_e = ds[idx], es[idx]
         av = np.full(idx.shape, A, dtype=np.uint16)
         bv = np.full(idx.shape, B, dtype=np.uint16)
         cv = np.full(idx.shape, C, dtype=np.uint16)
-        apn = apn_mask_batch(bt, av, bv, cv, sub_d, sub_e)
+        apn = apn_mask_batch(bt, av, bv, cv, ds[idx], es[idx])
         base = blk * n * n
-        for k in np.nonzero(apn)[0]:
-            hits.append(base + int(idx[k]))
+        hits.extend(base + int(i) for i in idx[apn])
     return hits, tested, skipped
 
 
-def _shard_worker(args):
-    spec_m, spec_mod, lo, hi, filters = args
-    ctx = make_field(FieldSpec(spec_m, spec_mod))
-    return _sweep_blocks(ctx, lo, hi, filters)
+def _exhaustive_worker(args):
+    job, lo, hi = args
+    return _sweep_blocks(make_field(job.field), lo, hi, job.filters)
 
 
 def run_exhaustive(job: SearchJob, verify: bool = True) -> SearchResult:
@@ -265,51 +282,7 @@ def run_exhaustive(job: SearchJob, verify: bool = True) -> SearchResult:
             f"exhaustive universe (2^{5 * spec.degree}) exceeds the "
             f"2^{EXHAUSTIVE_GATE_BITS} gate for {spec}"
         )
-    ctx = make_field(spec)
-    n = ctx.size
-    nblocks = n ** 3
-    t0 = time.time()
-    if job.shards == 1:
-        parts = [_sweep_blocks(ctx, 0, nblocks, job.filters)]
-    else:
-        bounds = [nblocks * i // job.shards for i in range(job.shards + 1)]
-        args = [
-            (spec.m, spec.modulus, bounds[i], bounds[i + 1], job.filters)
-            for i in range(job.shards)
-        ]
-        with ProcessPoolExecutor(max_workers=job.shards) as pool:
-            parts = list(pool.map(_shard_worker, args))
-    hit_idx: list[int] = []
-    tested = 0
-    skipped = 0
-    for h, t, s in parts:
-        hit_idx.extend(h)
-        tested += t
-        skipped += s
-    hit_idx.sort()
-    hits = [index_tuple(i, n) for i in hit_idx]
-    if verify:
-        for c in hits:
-            if not (is_apn_ddt(ctx, c, early_abort=False) and is_apn_equation(ctx, c)):
-                raise AssertionError(f"hit {c} failed independent re-verification")
-    perms = sum(is_permutation(ctx, c) for c in hits)
-    counters = {
-        "universe": n ** 5,
-        "tested": tested,
-        "skipped_by_filter": skipped,
-        "apn": len(hits),
-        "permutations": perms,
-    }
-    manifest = {
-        "field": str(spec),
-        "mode": "exhaustive",
-        "filters": job.filters.label(),
-        "seed": None,
-        "shards": job.shards,
-        "wall_time_s": round(time.time() - t0, 3),
-        "tool_version": __version__,
-    }
-    return SearchResult(hits, counters, manifest)
+    return _run(job, _exhaustive_worker, spec.size ** 3, verify)
 
 
 # -- random --------------------------------------------------------------------
@@ -333,17 +306,17 @@ def _random_sample(ctx: FieldCtx, seed: int, j: int, filters: SearchFilters):
     )
 
 
-def _random_shard_worker(args):
-    spec_m, spec_mod, seed, lo, hi, filters = args
-    ctx = make_field(FieldSpec(spec_m, spec_mod))
+def _random_worker(args):
+    job, lo, hi = args
+    ctx = make_field(job.field)
     hits = []
     rejected = 0
     for j in range(lo, hi):
-        c, rej = _random_sample(ctx, seed, j, filters)
+        c, rej = _random_sample(ctx, job.seed, j, job.filters)
         rejected += rej
         if is_apn_ddt(ctx, c):
             hits.append(tuple_index(c, ctx.size))
-    return hits, rejected
+    return hits, hi - lo, rejected
 
 
 def run_random(job: SearchJob, verify: bool = True) -> SearchResult:
@@ -355,48 +328,7 @@ def run_random(job: SearchJob, verify: bool = True) -> SearchResult:
     """
     if job.mode != "random":
         raise ValueError("job mode is not random")
-    spec = job.field
-    ctx = make_field(spec)
-    t0 = time.time()
-    if job.shards == 1:
-        parts = [_random_shard_worker((spec.m, spec.modulus, job.seed, 0, job.samples, job.filters))]
-    else:
-        bounds = [job.samples * i // job.shards for i in range(job.shards + 1)]
-        args = [
-            (spec.m, spec.modulus, job.seed, bounds[i], bounds[i + 1], job.filters)
-            for i in range(job.shards)
-        ]
-        with ProcessPoolExecutor(max_workers=job.shards) as pool:
-            parts = list(pool.map(_random_shard_worker, args))
-    hit_idx: list[int] = []
-    rejected = 0
-    for h, r in parts:
-        hit_idx.extend(h)
-        rejected += r
-    hit_idx = sorted(set(hit_idx))
-    hits = [index_tuple(i, ctx.size) for i in hit_idx]
-    if verify:
-        for c in hits:
-            if not (is_apn_ddt(ctx, c, early_abort=False) and is_apn_equation(ctx, c)):
-                raise AssertionError(f"hit {c} failed independent re-verification")
-    perms = sum(is_permutation(ctx, c) for c in hits)
-    counters = {
-        "universe": ctx.size ** 5,
-        "tested": job.samples,
-        "skipped_by_filter": rejected,
-        "apn": len(hits),
-        "permutations": perms,
-    }
-    manifest = {
-        "field": str(spec),
-        "mode": "random",
-        "filters": job.filters.label(),
-        "seed": job.seed,
-        "shards": job.shards,
-        "wall_time_s": round(time.time() - t0, 3),
-        "tool_version": __version__,
-    }
-    return SearchResult(hits, counters, manifest)
+    return _run(job, _random_worker, job.samples, verify)
 
 
 def run(job: SearchJob, verify: bool = True) -> SearchResult:

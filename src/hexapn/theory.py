@@ -12,6 +12,11 @@ propositions and evaluated both ways where relevant:
   - case 7's cubic is B^q T^3 + B^q C T^2 + B C^q T + B;
   - case 9's congruence is q = 2 (mod 3); the variant printed with
     q = 1 (mod 3) is tabulated separately by `reconcile`.
+
+cond_C1_C2, cond_C6 and h1_value have no branches, so they also accept
+coefficients given as numpy arrays that broadcast against each other, with a
+context whose mul and frob_q index numpy tables; the exhaustive search builds
+its filter masks this way.
 """
 
 from __future__ import annotations
@@ -28,20 +33,10 @@ def cond_C1_C2(ctx: FieldCtx, c: Coeffs) -> tuple[bool, bool]:
     """The two degenerations killing the X1 coefficient of G; mutually exclusive."""
     mul, frob = ctx.mul, ctx.frob_q
     A, B, C, D, E = c
-    if A == 0:
-        return False, False
     Aq = frob(A)
-    b_ok = mul(Aq, B) == frob(B)
-    e_ok = mul(Aq, E) == frob(E)
-    c1 = C == 0 and D == 0 and b_ok and e_ok
-    c2 = (
-        C != 0
-        and D != 0
-        and mul(A, Aq) == 1
-        and D == mul(A, frob(C))
-        and b_ok
-        and e_ok
-    )
+    common = (A != 0) & (mul(Aq, B) == frob(B)) & (mul(Aq, E) == frob(E))
+    c1 = common & (C == 0) & (D == 0)
+    c2 = common & (C != 0) & (D != 0) & (mul(A, Aq) == 1) & (D == mul(A, frob(C)))
     return c1, c2
 
 
@@ -69,7 +64,7 @@ def cond_C6(ctx: FieldCtx, c: Coeffs) -> bool:
     A, _, C, D, _ = c
     first = mul(A, frob(D)) ^ C
     second = mul(A, frob(A)) ^ mul(C, frob(C)) ^ mul(D, frob(D)) ^ 1
-    return first != 0 or second != 0
+    return (first != 0) | (second != 0)
 
 
 def p1_p2_values(ctx: FieldCtx, c: Coeffs) -> tuple[int, int]:
@@ -146,10 +141,6 @@ def cubic_predicates(ctx: FieldCtx, coefs: list[int]) -> tuple[bool, bool]:
 # -- summary case predicates ---------------------------------------------------
 
 
-def _norm(ctx: FieldCtx, z: int) -> int:
-    return ctx.mul(z, ctx.frob_q(z))
-
-
 def match_summary_cases(
     ctx: FieldCtx, c: Coeffs, case9_congruence: int = 2
 ) -> list[int]:
@@ -162,8 +153,7 @@ def match_summary_cases(
     A, B, C, D, E = c
     q = ctx.q
     Aq, Bq, Cq, Dq, Eq = frob(A), frob(B), frob(C), frob(D), frob(E)
-    nA, nC, nD = _norm(ctx, A), _norm(ctx, C), _norm(ctx, D)
-    c1, c2 = cond_C1_C2(ctx, c)
+    nA, nC, nD = ctx.norm_rel(A), ctx.norm_rel(C), ctx.norm_rel(D)
     h1 = h1_value(ctx, c)
     bcd = mul(B, Cq) ^ mul(Bq, D)       # BC^q + B^q D
     ae = mul(A, Eq) ^ E                 # AE^q + E
@@ -174,7 +164,8 @@ def match_summary_cases(
 
     matched = []
 
-    if c1 and nA != 1:
+    # C1 implies C = D = 0; testing that first skips most cond_C1_C2 calls
+    if C == 0 and D == 0 and nA != 1 and cond_C1_C2(ctx, c)[0]:
         matched.append(1)
 
     if B == 0 and acd == 0 and ae != 0 and mul(nA ^ 1, nC ^ 1) == 0:
@@ -193,7 +184,7 @@ def match_summary_cases(
         if (
             Cq == mul(Aq, B) ^ mul(Aq, D) ^ Bq
             and e1 != 0
-            and _norm(ctx, B) ^ _norm(ctx, D) ^ mul(B, Dq) ^ mul(Bq, D) ^ 1 == 0
+            and ctx.norm_rel(B) ^ ctx.norm_rel(D) ^ mul(B, Dq) ^ mul(Bq, D) ^ 1 == 0
         ):
             matched.append(5)
         if E == 0:
@@ -314,7 +305,7 @@ def predict_verdict(ctx: FieldCtx, c: Coeffs, case9_congruence: int = 2) -> Verd
     mul, frob = ctx.mul, ctx.frob_q
     c1, c2 = cond_C1_C2(ctx, c)
     if c1:
-        if _norm(ctx, c.A) != 1:
+        if ctx.norm_rel(c.A) != 1:
             return Verdict("apn", (1,), "condition-C1")
         return Verdict("not-apn", (), "condition-C1")
     if c2:
@@ -325,7 +316,7 @@ def predict_verdict(ctx: FieldCtx, c: Coeffs, case9_congruence: int = 2) -> Verd
     # The C6-failure branch with AB^q + B != 0 and AE^q + E = 0 is decided
     # both ways: APN exactly when case 9 or 10 matches.
     adc = mul(c.A, frob(c.D)) ^ c.C
-    sig = _norm(ctx, c.A) ^ _norm(ctx, c.C) ^ _norm(ctx, c.D) ^ 1
+    sig = ctx.norm_rel(c.A) ^ ctx.norm_rel(c.C) ^ ctx.norm_rel(c.D) ^ 1
     ab = mul(c.A, frob(c.B)) ^ c.B
     ae = mul(c.A, frob(c.E)) ^ c.E
     if adc == 0 and sig == 0 and ab != 0 and ae == 0:
@@ -453,7 +444,7 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
         in_shape = (
             c.C == 0
             and c.D == 0
-            and _norm(ctx, c.A) == 1
+            and ctx.norm_rel(c.A) == 1
             and c.A != 1
             and (mul(c.A, frob(c.E)) ^ c.E) == 0
             and (mul(c.A, frob(c.B)) ^ c.B) != 0

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from hexapn import search
 from hexapn.cli import main
 
 
@@ -106,6 +109,69 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 5
     code, _, err = run_cli(capsys, "sympoly", "--field", "F4", "--tuple", "a,0,0,0,0")
     assert code == 4 and "C1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mode", "exhaustive", "--shards", "0"),
+    ("--mode", "random", "--seed", "1", "--samples", "-5"),
+])
+def test_search_bad_sizes_are_usage_errors(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, "search", "--field", "F4", *argv, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    seen: list[int] = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+def test_search_workers_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    _InlinePool.seen.clear()
+    manifests = {}
+    for shards in ("1", "3"):
+        out = tmp_path / shards
+        code, _, _ = run_cli(capsys, "search", "--field", "F4", "--shards", shards,
+                             "--out", str(out))
+        assert code == 0
+        m = json.loads((out / "search_f4_exhaustive_manifest.json").read_text())
+        assert m.pop("shards") == int(shards)
+        m.pop("wall_time_s")
+        manifests[shards] = m
+        hits = (out / "search_f4_exhaustive_hits.jsonl").read_bytes()
+        manifests[shards]["hits"] = hits
+    assert _InlinePool.seen == [2]  # three shards, two workers
+    assert manifests["1"] == manifests["3"]
+
+
+@pytest.mark.parametrize("line", [
+    '{"field": "gf2:2:0x7", "A": "a", "B": "0"}',  # partial record
+    'not json',
+    '{"field": "gf2:2:0x7", "A": "b^2", "B": "0", "C": "0", "D": "0", "E": "a"}',
+    '{"field": "gf2:4:0x13", "A": "a", "B": "0", "C": "0", "D": "a", "E": "0"}',
+])
+def test_invariants_bad_hits_are_unreadable_input(capsys, tmp_path, line):
+    good = '{"field": "gf2:2:0x7", "A": "a", "B": "0", "C": "0", "D": "0", "E": "a"}'
+    path = tmp_path / "hits.jsonl"
+    path.write_text(good + "\n" + line + "\n")
+    code, out, err = run_cli(capsys, "invariants", "--field", "F4", "--hits", str(path))
+    assert code == 5 and out == ""
+    assert err.startswith(f"error: {path}:2: ") and err.count("\n") == 1
 
 
 def test_repro_appendix_deterministic(capsys, tmp_path):

@@ -54,6 +54,8 @@ def test_job_validation():
         SearchJob(NAMED_SPECS["F4"], "random", samples=10)  # no seed
     with pytest.raises(ValueError):
         SearchJob(NAMED_SPECS["F4"], "exhaustive", shards=0)
+    with pytest.raises(ValueError):
+        SearchJob(NAMED_SPECS["F4"], "random", samples=-5, seed=1)
 
 
 def test_exhaustive_gate():
@@ -86,6 +88,45 @@ def test_exhaustive_shard_invariance_q4():
     four = run_exhaustive(SearchJob(NAMED_SPECS["F16"], "exhaustive", shards=4), verify=False)
     assert one.counters == four.counters
     assert one.apn_hits == four.apn_hits
+
+
+EQUIVALENCE_FILTERS = [
+    "theory", "plain", "none", "a-nonzero", "exclude-c1c2", "exclude-obstruction",
+    "prioritized", "a-nonzero,prioritized", "cases=9;10",
+]
+
+
+@pytest.mark.parametrize("text", EQUIVALENCE_FILTERS)
+def test_exhaustive_filters_match_scalar_oracle_q2(text):
+    # every filter token applies in exhaustive mode exactly as passes_filters
+    # decides it; the APN oracle is the scalar DDT test
+    spec = NAMED_SPECS["F4"]
+    ctx = make_field(spec)
+    filters = parse_filters(text)
+    kept = [c for c in map(lambda i: index_tuple(i, 4), range(4 ** 5))
+            if passes_filters(ctx, c, filters)]
+    res = run_exhaustive(SearchJob(spec, "exhaustive", filters=filters))
+    assert res.counters["tested"] == len(kept)
+    assert res.counters["skipped_by_filter"] == 4 ** 5 - len(kept)
+    assert res.apn_hits == [c for c in kept if is_apn_ddt(ctx, c)]
+    assert res.manifest["filters"] == filters.label()
+
+
+def test_exhaustive_obstruction_filter_matches_scalar_oracle_q4():
+    # the obstruction clause alone must also act on A = 0 blocks. The APN
+    # oracle here is the unfiltered sweep (the batch kernel, itself checked
+    # against the scalar tests), restricted to the tuples passes_filters keeps
+    spec = NAMED_SPECS["F16"]
+    ctx = make_field(spec)
+    filters = parse_filters("exclude-obstruction")
+    kept = [i for i in range(16 ** 5) if passes_filters(ctx, index_tuple(i, 16), filters)]
+    res = run_exhaustive(SearchJob(spec, "exhaustive", filters=filters), verify=False)
+    assert res.counters["tested"] == len(kept) == 367936
+    assert res.counters["skipped_by_filter"] == 16 ** 5 - len(kept)
+    unfiltered = run_exhaustive(SearchJob(spec, "exhaustive", filters=NO_FILTERS), verify=False)
+    kept_set = set(kept)
+    assert res.hit_indices(16) == [i for i in unfiltered.hit_indices(16) if i in kept_set]
+    assert res.counters["apn"] == 30116
 
 
 def test_exhaustive_hits_verified():
