@@ -2,8 +2,8 @@
 
 An element is an int in [0, 2^(2m)): bit i holds the coefficient of x^i,
 where x is the class of the indeterminate modulo the field polynomial.
-Multiplication goes through log/antilog tables, built at construction for
-2m <= 16; wider fields fall back to carry-less shift-and-reduce.
+Every context builds log/antilog tables and a full numpy multiplication
+table at construction, so field specs stop at degree 10 (q <= 32).
 
 Named field specs (modulus bits, little-endian coefficient encoding):
 
@@ -25,9 +25,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-MAX_DEGREE = 32        # fields beyond GF(2^32) are out of scope
-TABLE_MAX_DEGREE = 16  # log/antilog tables up to GF(2^16)
-NP_MUL_MAX_SIZE = 1024  # full numpy multiplication table up to GF(2^10)
+MAX_DEGREE = 10  # full numpy multiplication table: at most 1024 x 1024
 
 
 class ReducibleModulusError(ValueError):
@@ -151,15 +149,6 @@ def parse_field_spec(text: str) -> FieldSpec:
     return FieldSpec(degree // 2, modulus)
 
 
-class _NoMulTable:
-    """FieldCtx.np_mul where no table was built: reading it raises ValueError."""
-
-    def __get__(self, ctx, owner=None):
-        if ctx is None:
-            return self
-        raise ValueError(f"multiplication table too large for {ctx.spec}")
-
-
 class FieldCtx:
     """Immutable GF(2^(2m)) context; all operations are pure.
 
@@ -175,12 +164,7 @@ class FieldCtx:
         self.q = 1 << spec.m
         self.n = 2 * spec.m
         self.size = spec.size
-        self.has_tables = spec.degree <= TABLE_MAX_DEGREE
-        if self.has_tables:
-            self._build_tables()
-        else:
-            self.x_is_generator = None  # not determined without tables
-            self.generator = 2
+        self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
@@ -217,7 +201,7 @@ class FieldCtx:
         self.exp = exp
         self.log = logt
         # derived tables: squares, square roots, q-power Frobenius, absolute trace
-        sq = [self._table_mul(z, z) for z in range(self.size)]
+        sq = [self.mul(z, z) for z in range(self.size)]
         self.sqrt_table = [0] * self.size
         for z, s in enumerate(sq):
             self.sqrt_table[s] = z
@@ -240,37 +224,23 @@ class FieldCtx:
         # touching an instance's __dict__ slows every later attribute lookup.
         self.np_frob = np.array(frob, dtype=np.uint16)
         self.np_trace2 = np.array(tr, dtype=np.int8)
-        if self.size <= NP_MUL_MAX_SIZE:
-            lg = np.array(logt[1:], dtype=np.intp)
-            t = np.zeros((self.size, self.size), dtype=np.uint16)
-            t[1:, 1:] = np.array(exp, dtype=np.uint16)[lg[:, None] + lg[None, :]]
-            self.np_mul = t
-
-    def _table_mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
+        lg = np.array(logt[1:], dtype=np.intp)
+        t = np.zeros((self.size, self.size), dtype=np.uint16)
+        t[1:, 1:] = np.array(exp, dtype=np.uint16)[lg[:, None] + lg[None, :]]
+        self.np_mul = t
 
     # -- arithmetic ----------------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.has_tables:
-            return self.exp[self.log[a] + self.log[b]]
-        return self._mul_raw(a, b)
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.has_tables:
-            n1 = self.size - 1
-            return self.exp[(n1 - self.log[a]) % n1]
-        return _pow_raw(self, a, self.size - 2)
+        n1 = self.size - 1
+        return self.exp[(n1 - self.log[a]) % n1]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -284,25 +254,15 @@ class FieldCtx:
             raise ZeroDivisionError("0 has no negative powers")
         n1 = self.size - 1
         e %= n1
-        if self.has_tables:
-            return self.exp[(self.log[z] * e) % n1]
-        return _pow_raw(self, z, e)
+        return self.exp[(self.log[z] * e) % n1]
 
     def frob_q(self, z: int) -> int:
         """Relative Frobenius z -> z^q (q = 2^m)."""
-        if self.has_tables:
-            return self.frob_table[z]
-        for _ in range(self.m):
-            z = self._mul_raw(z, z)
-        return z
+        return self.frob_table[z]
 
     def sqrt(self, z: int) -> int:
         """The unique square root in characteristic 2 (z^(2^(2m-1)))."""
-        if self.has_tables:
-            return self.sqrt_table[z]
-        for _ in range(self.n - 1):
-            z = self._mul_raw(z, z)
-        return z
+        return self.sqrt_table[z]
 
     def trace_rel(self, z: int) -> int:
         """Relative trace to the subfield GF(q): z + z^q."""
@@ -314,23 +274,7 @@ class FieldCtx:
 
     def trace2(self, z: int) -> int:
         """Absolute trace GF(q^2) -> GF(2)."""
-        if self.has_tables:
-            return self.trace2_table[z]
-        t, cur = 0, z
-        for _ in range(self.n):
-            t ^= cur
-            cur = self._mul_raw(cur, cur)
-        return t
-
-    def mult_order(self, z: int) -> int:
-        """Multiplicative order of z != 0; divides 2^(2m) - 1."""
-        if z == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        t = self.size - 1
-        for p in _prime_factors(self.size - 1):
-            while t % p == 0 and self.pow(z, t // p) == 1:
-                t //= p
-        return t
+        return self.trace2_table[z]
 
     def in_subfield(self, z: int) -> bool:
         """True iff z lies in GF(q), i.e. z^q = z."""
@@ -344,8 +288,6 @@ class FieldCtx:
             return "0"
         if z == 1:
             return "1"
-        if not self.has_tables:
-            return f"{z:#x}"
         k = self.log[z]
         return "a" if k == 1 else f"a^{k}"
 
@@ -382,12 +324,8 @@ class FieldCtx:
         return range(self.size)
 
     def __repr__(self) -> str:
-        prim = {True: "a primitive", False: "a not primitive", None: "untabled"}
-        return f"FieldCtx({self.spec}, {prim[self.x_is_generator]})"
-
-    # Set in _build_tables for fields of at most NP_MUL_MAX_SIZE elements,
-    # where the instance attribute shadows this class-level guard.
-    np_mul = _NoMulTable()
+        prim = "a primitive" if self.x_is_generator else "a not primitive"
+        return f"FieldCtx({self.spec}, {prim})"
 
 
 def make_field(spec: FieldSpec) -> FieldCtx:

@@ -8,7 +8,6 @@ merge is computed generically by grouping equal exponents.
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
 from .field import FieldCtx
@@ -25,14 +24,6 @@ class Coeffs(NamedTuple):
 def monomial_exponents(q: int) -> list[int]:
     """Exponents of the six monomials, in coefficient order (A..E, then 1)."""
     return [3, q + 1, 2 * q + 1, q + 2, 2 * q + 2, 3 * q]
-
-
-def exponent_collisions(q: int) -> dict[int, list[int]]:
-    """Exponent -> list of colliding monomial slots (only exponents hit twice+)."""
-    seen: dict[int, list[int]] = {}
-    for slot, e in enumerate(monomial_exponents(q)):
-        seen.setdefault(e, []).append(slot)
-    return {e: slots for e, slots in seen.items() if len(slots) > 1}
 
 
 def evaluate(ctx: FieldCtx, c: Coeffs, x: int) -> int:
@@ -74,21 +65,17 @@ class UnivariateForm:
             acc ^= ctx.mul(z, ctx.pow(x, e))
         return acc
 
-    def format(self, ctx: FieldCtx, order: str = "asc", coeff_style: str = "poly") -> str:
-        """Render as 'coef x^e + ...'.
-
-        order: 'asc' or 'desc' by exponent.  coeff_style: 'poly' for
-        basis-polynomial coefficients like '(a^3 + a + 1)', 'power' for 'a^k'.
-        """
+    def format(self, ctx: FieldCtx) -> str:
+        """Render as 'coef x^e + ...' by ascending exponent, with
+        basis-polynomial coefficients like '(a^3 + a + 1)'."""
         if not self.terms:
             return "0"
-        terms = self.terms if order == "asc" else list(reversed(self.terms))
         parts = []
-        for e, z in terms:
+        for e, z in self.terms:
             if z == 1:
                 parts.append(f"x^{e}")
                 continue
-            txt = ctx.format_elem_poly(z) if coeff_style == "poly" else ctx.format_elem(z)
+            txt = ctx.format_elem_poly(z)
             if " " in txt:
                 txt = f"({txt})"
             parts.append(f"{txt} x^{e}")
@@ -102,68 +89,6 @@ def to_univariate(ctx: FieldCtx, c: Coeffs) -> UnivariateForm:
     for e, z in zip(monomial_exponents(ctx.q), coeffs):
         merged[e] = merged.get(e, 0) ^ z
     return UnivariateForm(list(merged.items()))
-
-
-def parse_univariate(ctx: FieldCtx, text: str) -> UnivariateForm:
-    """Inverse of UnivariateForm.format for both coefficient styles."""
-    text = text.strip()
-    if text == "0":
-        return UnivariateForm([])
-    terms = []
-    for chunk in _split_terms(text):
-        m = re.match(r"^(.*?)\s*\*?\s*x\s*\^\s*(\d+)$", chunk.strip())
-        if not m:
-            raise ValueError(f"cannot parse polynomial term {chunk!r}")
-        coeff_txt, e = m.group(1).strip(), int(m.group(2))
-        terms.append((e, _parse_coeff(ctx, coeff_txt)))
-    return UnivariateForm(terms)
-
-
-def _split_terms(text: str) -> list[str]:
-    # split on '+' at paren depth 0 only; coefficients may contain '+'.
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
-
-
-def _parse_coeff(ctx: FieldCtx, txt: str) -> int:
-    txt = txt.strip()
-    if txt in ("", "1"):
-        return 1
-    if txt.startswith("(") and txt.endswith(")"):
-        txt = txt[1:-1].strip()
-    if "+" in txt:
-        acc = 0
-        for part in txt.split("+"):
-            acc ^= _parse_basis_monomial(ctx, part.strip())
-        return acc
-    if txt.lower().startswith("0x"):
-        return int(txt, 16)
-    return _parse_basis_monomial(ctx, txt)
-
-
-def _parse_basis_monomial(ctx: FieldCtx, txt: str) -> int:
-    # one monomial in the class of x: '1', 'a', 'a^k' (polynomial basis bit)
-    if txt == "1":
-        return 1
-    if txt == "a":
-        return 2
-    if txt.startswith("a^"):
-        k = int(txt[2:])
-        if k < ctx.n:
-            return 1 << k
-        return ctx.pow(2, k)
-    raise ValueError(f"cannot parse coefficient monomial {txt!r}")
 
 
 def scale_input_coeffs(ctx: FieldCtx, c: Coeffs, lam: int) -> Coeffs:

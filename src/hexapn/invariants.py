@@ -154,17 +154,6 @@ def partition_by_fingerprint(
     return groups
 
 
-def group_fingerprints(items: list[tuple[Coeffs, Fingerprint]]) -> dict[Fingerprint, list[Coeffs]]:
-    """Partition precomputed fingerprints; mixing field contexts is an error."""
-    fields = {fp.field for _, fp in items}
-    if len(fields) > 1:
-        raise ValueError(f"fingerprints from mixed field contexts: {sorted(fields)}")
-    groups: dict[Fingerprint, list[Coeffs]] = {}
-    for c, fp in items:
-        groups.setdefault(fp, []).append(c)
-    return groups
-
-
 def partition_csv(groups: dict[Fingerprint, list[Coeffs]], ctx: FieldCtx) -> str:
     """'group id, size, representative tuple' rows, deterministic order."""
     lines = ["group,size,representative"]

@@ -117,6 +117,8 @@ class SearchJob:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "random" and self.seed is None:
             raise ValueError("random mode requires an explicit seed")
+        if self.mode == "exhaustive" and (self.seed is not None or self.samples):
+            raise ValueError("exhaustive mode takes neither a seed nor a sample count")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.samples < 0:
@@ -396,13 +398,7 @@ def regime_tuples(ctx: FieldCtx) -> list[Coeffs]:
 
 def gcd_regime_census(spec: FieldSpec, full_scan: bool = False) -> CensusReport:
     """Classify the whole regime at one field; see CensusReport."""
-    from .sympoly import (
-        build_variety_system,
-        gcd_bivariate,
-        g1_g2_displays,
-        rational_point_scan,
-    )
-    from .sympoly import _g_display_brackets  # display bracket reuse
+    from .sympoly import gcd_curve_has_points, gcd_trivial
 
     ctx = make_field(spec)
     rep = CensusReport(field=str(spec))
@@ -425,14 +421,8 @@ def gcd_regime_census(spec: FieldSpec, full_scan: bool = False) -> CensusReport:
         rep.exceptional_nonapn = 0
         rep.generic_nonapn = 0
     for i, c in enumerate(tuples):
-        g1, g2 = g1_g2_displays(ctx, c)
-        g3 = _g_display_brackets(ctx, c)[0]
-        trivial = (
-            gcd_bivariate(g3, g1).total_degree() <= 0
-            and gcd_bivariate(g3, g2).total_degree() <= 0
-        )
         is_apn = bool(apn[i])
-        if trivial:
+        if gcd_trivial(ctx, c):
             rep.gcd_trivial += 1
             rep.gcd_trivial_apn += is_apn
             continue
@@ -440,10 +430,7 @@ def gcd_regime_census(spec: FieldSpec, full_scan: bool = False) -> CensusReport:
         rep.gcd_nontrivial_apn += is_apn
         if not (is_apn or full_scan):
             continue
-        vs = build_variety_system(ctx, c)
-        ell = gcd_bivariate(vs.a2, vs.a0)
-        count, _ = rational_point_scan(ctx, [vs.G, ell], force=True)
-        if count == 0:
+        if not gcd_curve_has_points(ctx, c):
             if is_apn:
                 rep.exceptional_apn += 1
                 rep.exceptional_tuples.append(c)

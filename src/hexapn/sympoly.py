@@ -24,8 +24,8 @@ from .hexanomial import Coeffs
 VARS = ("X0", "X1", "Z0", "Z1")
 X0, X1, Z0, Z1 = 0, 1, 2, 3
 
-#: The six hyperplanes whose points carry only trivial collisions.
-FORBIDDEN_HYPERPLANES = ("X0", "X1", "Z0=X0", "Z1=X1", "Z0", "Z1")
+#: Sample points a rational point scan returns besides its count.
+SCAN_SAMPLES = 8
 
 
 class DegenerateSystemError(ValueError):
@@ -137,13 +137,6 @@ class MPoly:
     def homogeneous_part(self, i: int) -> "MPoly":
         return MPoly(self.ctx, {e: c for e, c in self.terms.items() if sum(e) == i})
 
-    def lowest_part(self) -> "MPoly":
-        """Lowest nonvanishing homogeneous part; zero polynomial for zero input."""
-        if not self.terms:
-            return MPoly(self.ctx)
-        low = min(sum(e) for e in self.terms)
-        return self.homogeneous_part(low)
-
     def coeff_in(self, var: int, power: int) -> "MPoly":
         """Coefficient of var^power, as a polynomial in the remaining variables."""
         out = {}
@@ -153,20 +146,6 @@ class MPoly:
                 e2[var] = 0
                 out[tuple(e2)] = c
         return MPoly(self.ctx, out)
-
-    def substitute(self, var: int, rep: "MPoly") -> "MPoly":
-        self._check(rep)
-        acc = MPoly(self.ctx)
-        powers: dict[int, MPoly] = {0: MPoly.const(self.ctx, 1)}
-        maxp = self.degree_in(var)
-        for k in range(1, maxp + 1):
-            powers[k] = powers[k - 1] * rep
-        for e, c in self.terms.items():
-            e2 = list(e)
-            k = e2[var]
-            e2[var] = 0
-            acc = acc + (MPoly(self.ctx, {tuple(e2): c}) * powers[k])
-        return acc
 
     def eval(self, point: tuple[int, int, int, int]) -> int:
         ctx = self.ctx
@@ -236,7 +215,7 @@ def _zpoly(ctx: FieldCtx, terms: dict[tuple[int, int], int]) -> MPoly:
 
 def build_f1_f2(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly]:
     """The two defining quartics of the collision variety, transcribed verbatim."""
-    mul, frob = ctx.mul, ctx.frob_q
+    frob = ctx.frob_q
     A, B, C, D, E = c
     Aq, Bq, Cq, Dq, Eq = frob(A), frob(B), frob(C), frob(D), frob(E)
 
@@ -336,7 +315,7 @@ def g1_g2_displays(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly]:
 
 def build_g(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly, MPoly]:
     """(F1, F2, G) with G formed by the X1^2-cancelling combination."""
-    mul, frob = ctx.mul, ctx.frob_q
+    frob = ctx.frob_q
     A, B, C, D, E = c
     f1, f2 = build_f1_f2(ctx, c)
     alpha = _zpoly(ctx, {(2, 0): frob(E), (1, 0): frob(D), (0, 1): frob(A)})
@@ -570,31 +549,6 @@ def _lex_normalize(p: MPoly) -> MPoly:
     return p.scale(p.ctx.inv(p.terms[lead]))
 
 
-def divides(d: MPoly, p: MPoly) -> bool:
-    """Exact divisibility test for X-free polynomials (via Z0-view division)."""
-    if d.is_zero():
-        return p.is_zero()
-    if p.is_zero():
-        return True
-    ctx = p.ctx
-    a, b = _to_zview(p), _to_zview(d)
-    # long division with coefficient fractions avoided: multiply through by lc(b)
-    # and track the scaling; divisibility is scaling-invariant.
-    while a and len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        before = len(a)
-        a = _zv_prem_step(ctx, a, b)
-        a = _zv_trim(a)
-        if len(a) >= before:
-            return False
-    if not a:
-        return True
-    # remainder has lower Z0-degree than d but may be nonzero only via content
-    return False
-
-
 # -- resultants ----------------------------------------------------------------
 
 
@@ -626,9 +580,7 @@ def resultant_z0(p: MPoly, r: MPoly, deg_p: int | None = None, deg_r: int | None
     for s in range(dp):
         m.append([coeff(b, dr - (j - s)) for j in range(size)])
     det = _det_upoly(ctx, m)
-    return _from_zview(ctx, [()] * 0) if det is None else MPoly(
-        ctx, {(0, 0, 0, j): c for j, c in enumerate(det) if c}
-    )
+    return MPoly(ctx, {(0, 0, 0, j): c for j, c in enumerate(det) if c})
 
 
 def _det_upoly(ctx, m) -> tuple[int, ...]:
@@ -659,20 +611,11 @@ def _phi_fixed_grid(ctx: FieldCtx):
     return x0, frob[x0], z0, frob[z0]
 
 
-def _offplane_mask(grids, forbidden) -> np.ndarray:
+def _offplane_mask(grids) -> np.ndarray:
+    """Points off the six hyperplanes X0, X1, Z0 = X0, Z1 = X1, Z0, Z1,
+    whose points carry only trivial collisions."""
     x0, x1, z0, z1 = grids
-    mask = np.ones(x0.shape, dtype=bool)
-    tests = {
-        "X0": x0 == 0,
-        "X1": x1 == 0,
-        "Z0=X0": z0 == x0,
-        "Z1=X1": z1 == x1,
-        "Z0": z0 == 0,
-        "Z1": z1 == 0,
-    }
-    for name in forbidden:
-        mask &= ~tests[name]
-    return mask
+    return (x0 != 0) & (x1 != 0) & (z0 != x0) & (z1 != x1) & (z0 != 0) & (z1 != 0)
 
 
 def _eval_grid(poly: MPoly, grids) -> np.ndarray:
@@ -697,16 +640,12 @@ def _eval_grid(poly: MPoly, grids) -> np.ndarray:
 
 
 def rational_point_scan(
-    ctx: FieldCtx,
-    system: list[MPoly],
-    forbidden=FORBIDDEN_HYPERPLANES,
-    force: bool = False,
-    max_samples: int = 8,
+    ctx: FieldCtx, system: list[MPoly], force: bool = False
 ) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Count phi-fixed points of the system outside the forbidden hyperplanes.
+    """Count phi-fixed points of the system off the trivial-collision hyperplanes.
 
     Enumerates (X0, Z0) over GF(q^2)^2 with X1 = X0^q, Z1 = Z0^q. Returns
-    the off-plane solution count and up to max_samples sample points.
+    the off-plane solution count and up to SCAN_SAMPLES sample points.
     """
     if ctx.q > 4 and not force:
         raise ScanGateError(
@@ -714,7 +653,7 @@ def rational_point_scan(
             f"pass force=True to run beyond q=4"
         )
     grids = _phi_fixed_grid(ctx)
-    ok = _offplane_mask(grids, forbidden)
+    ok = _offplane_mask(grids)
     for poly in system:
         if poly.ctx is not ctx:
             raise MixedContextError("system polynomial bound to another context")
@@ -724,7 +663,7 @@ def rational_point_scan(
     idx = np.nonzero(ok)[0]
     samples = [
         (int(grids[0][i]), int(grids[1][i]), int(grids[2][i]), int(grids[3][i]))
-        for i in idx[:max_samples]
+        for i in idx[:SCAN_SAMPLES]
     ]
     return int(idx.size), samples
 
@@ -732,20 +671,40 @@ def rational_point_scan(
 # -- the exceptional-case classifier -----------------------------------------
 
 
-def classify_gcd_regime(
-    ctx: FieldCtx, c: Coeffs, system: VarietySystem | None = None
-) -> str:
+def gcd_trivial(ctx: FieldCtx, c: Coeffs) -> bool:
+    """gcd(a2, a0) = 1, tested as gcd(g3, g1) = gcd(g3, g2) = 1.
+
+    a2 = g3^2 and a0 = g1 g2, so the two forms agree. g3 = 0 counts as a
+    nontrivial gcd: gcd(0, g1) = g1, which is never constant in the regime.
+    """
+    g1, g2 = g1_g2_displays(ctx, c)
+    g3 = _g_display_brackets(ctx, c)[0]
+    return (
+        gcd_bivariate(g3, g1).total_degree() <= 0
+        and gcd_bivariate(g3, g2).total_degree() <= 0
+    )
+
+
+def gcd_curve_has_points(ctx: FieldCtx, c: Coeffs) -> bool:
+    """True iff G = gcd(a2, a0) = 0 has an off-plane phi-fixed point.
+
+    For a regime tuple, where X1 can always be eliminated.
+    """
+    vs = build_variety_system(ctx, c)
+    ell = gcd_bivariate(vs.a2, vs.a0)
+    count, _ = rational_point_scan(ctx, [vs.G, ell], force=True)
+    return count > 0
+
+
+def classify_gcd_regime(ctx: FieldCtx, c: Coeffs) -> str:
     """Classify a tuple in the h1 = 0, BC^q + B^q D != 0 regime.
 
     Returns one of:
-      'not-applicable'        outside the regime (or X1-elimination degenerate)
+      'not-applicable'        outside the regime
       'gcd-trivial'           gcd(a2, a0) = 1
       'exceptional-candidate' gcd nontrivial, but the G = l = 0 system has no
                               off-plane phi-fixed point
       'generic-obstruction'   gcd nontrivial with off-plane phi-fixed points
-
-    a2 = 0 counts as a nontrivial gcd: gcd(0, a0) = a0, which is never
-    constant in the regime.
     """
     from .theory import h1_value
 
@@ -754,16 +713,11 @@ def classify_gcd_regime(
         return "not-applicable"
     if mul(c.B, frob(c.C)) ^ mul(frob(c.B), c.D) == 0:
         return "not-applicable"
-    if system is None:
-        try:
-            system = build_variety_system(ctx, c)
-        except DegenerateSystemError:
-            return "not-applicable"
-    ell = gcd_bivariate(system.a2, system.a0)
-    if ell.total_degree() <= 0:
+    if gcd_trivial(ctx, c):
         return "gcd-trivial"
-    count, _ = rational_point_scan(ctx, [system.G, ell], force=True)
-    return "exceptional-candidate" if count == 0 else "generic-obstruction"
+    if gcd_curve_has_points(ctx, c):
+        return "generic-obstruction"
+    return "exceptional-candidate"
 
 
 # -- lowest homogeneous parts and the resultant identity -----------------------

@@ -140,15 +140,39 @@ def cubic_predicates(ctx: FieldCtx, coefs: list[int]) -> tuple[bool, bool]:
 
 # -- summary case predicates ---------------------------------------------------
 
+#: q mod 3 under which case 9 holds: the source proposition says 2 (the
+#: summary as printed says 1; `reconcile` tabulates both readings).
+CASE9_CONGRUENCE = 2
 
-def match_summary_cases(
-    ctx: FieldCtx, c: Coeffs, case9_congruence: int = 2
-) -> list[int]:
-    """IDs (1..11) of the summary cases matched by the tuple.
 
-    case9_congruence selects the q mod 3 reading of case 9 (the source
-    proposition says 2; the summary as printed says 1).
-    """
+def case9_shape(ctx: FieldCtx, c: Coeffs) -> bool:
+    """Case 9 without its congruence on q: C = D = 0, A^(q+1) = 1, A != 1,
+    AE^q + E = 0 and AB^q + B != 0."""
+    mul, frob = ctx.mul, ctx.frob_q
+    A, B, C, D, E = c
+    return (
+        C == 0
+        and D == 0
+        and A != 1
+        and ctx.norm_rel(A) == 1
+        and mul(A, frob(E)) == E
+        and mul(A, frob(B)) != B
+    )
+
+
+def case7_cubic(ctx: FieldCtx, c: Coeffs) -> list[int]:
+    """B^q T^3 + B^q C T^2 + B C^q T + B, as [c3, c2, c1, c0]."""
+    Bq = ctx.frob_q(c.B)
+    return [Bq, ctx.mul(Bq, c.C), ctx.mul(c.B, ctx.frob_q(c.C)), c.B]
+
+
+def c6_fails_cubic(ctx: FieldCtx, c: Coeffs) -> list[int]:
+    """T^3 + AD^q T^2 + D T + A (cases 10 and 11), as [c3, c2, c1, c0]."""
+    return [1, ctx.mul(c.A, ctx.frob_q(c.D)), c.D, c.A]
+
+
+def match_summary_cases(ctx: FieldCtx, c: Coeffs) -> list[int]:
+    """IDs (1..11) of the summary cases matched by the tuple."""
     mul, frob = ctx.mul, ctx.frob_q
     A, B, C, D, E = c
     q = ctx.q
@@ -191,7 +215,7 @@ def match_summary_cases(
             matched.append(6)
 
     if h1 == 0 and bcd == 0 and B == mul(Bq, A) and (mul(B, Eq) ^ mul(Bq, E)) != 0:
-        has_root, _ = cubic_predicates(ctx, [Bq, mul(Bq, C), mul(B, Cq), B])
+        has_root, _ = cubic_predicates(ctx, case7_cubic(ctx, c))
         if not has_root:
             matched.append(7)
 
@@ -205,15 +229,7 @@ def match_summary_cases(
     ):
         matched.append(8)
 
-    if (
-        C == 0
-        and D == 0
-        and nA == 1
-        and A != 1
-        and ae == 0
-        and ab != 0
-        and q % 3 == case9_congruence
-    ):
+    if q % 3 == CASE9_CONGRUENCE and case9_shape(ctx, c):
         matched.append(9)
 
     if (
@@ -224,12 +240,12 @@ def match_summary_cases(
         and D != 0
         and nD != 1
     ):
-        has_root, _ = cubic_predicates(ctx, [1, mul(A, Dq), D, A])
+        has_root, _ = cubic_predicates(ctx, c6_fails_cubic(ctx, c))
         if not has_root:
             matched.append(10)
 
     if nA == 1 and mul(A, Dq) == C and B != 0 and ae != 0 and ab == 0:
-        has_root, _ = cubic_predicates(ctx, [1, mul(A, Dq), D, A])
+        has_root, _ = cubic_predicates(ctx, c6_fails_cubic(ctx, c))
         if not has_root:
             matched.append(11)
 
@@ -301,7 +317,7 @@ def _exclusion_reason(ctx: FieldCtx, c: Coeffs) -> str:
     return "b0-trace-branch"
 
 
-def predict_verdict(ctx: FieldCtx, c: Coeffs, case9_congruence: int = 2) -> Verdict:
+def predict_verdict(ctx: FieldCtx, c: Coeffs) -> Verdict:
     mul, frob = ctx.mul, ctx.frob_q
     c1, c2 = cond_C1_C2(ctx, c)
     if c1:
@@ -311,7 +327,7 @@ def predict_verdict(ctx: FieldCtx, c: Coeffs, case9_congruence: int = 2) -> Verd
     if c2:
         return Verdict("not-apn", (), "condition-C2")
 
-    matched = tuple(match_summary_cases(ctx, c, case9_congruence))
+    matched = tuple(match_summary_cases(ctx, c))
 
     # The C6-failure branch with AB^q + B != 0 and AE^q + E = 0 is decided
     # both ways: APN exactly when case 9 or 10 matches.
@@ -347,12 +363,10 @@ def analyze(ctx: FieldCtx, c: Coeffs) -> TheoryReport:
         _, unit = cubic_predicates(ctx, [1, c.C, mul(c.A, frob(c.C)), c.A])
         cubic_flags["b0-part2-unit-norm-root"] = unit
     if h1 == 0 and bcd == 0 and c.B != 0:
-        has_root, _ = cubic_predicates(
-            ctx, [frob(c.B), mul(frob(c.B), c.C), mul(c.B, frob(c.C)), c.B]
-        )
+        has_root, _ = cubic_predicates(ctx, case7_cubic(ctx, c))
         cubic_flags["c7-degenerate-has-root"] = has_root
     if (mul(c.A, frob(c.D)) ^ c.C) == 0:
-        has_root, _ = cubic_predicates(ctx, [1, mul(c.A, frob(c.D)), c.D, c.A])
+        has_root, _ = cubic_predicates(ctx, c6_fails_cubic(ctx, c))
         cubic_flags["c6-fails-has-root"] = has_root
 
     return TheoryReport(
@@ -383,9 +397,6 @@ class ReconcileReport:
     contradictions_case10: int = 0
     case9_regime: dict[str, int] = field(default_factory=dict)
     congruence_resolution: str = ""
-
-    def iff_contradictions(self) -> int:
-        return self.contradictions_c1 + self.contradictions_c2
 
     def to_json(self) -> dict:
         return {
@@ -440,20 +451,11 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
                 rep.contradictions_case10 += 1
 
         # case-9 regime tabulation under the two congruence readings
-        mul, frob = ctx.mul, ctx.frob_q
-        in_shape = (
-            c.C == 0
-            and c.D == 0
-            and ctx.norm_rel(c.A) == 1
-            and c.A != 1
-            and (mul(c.A, frob(c.E)) ^ c.E) == 0
-            and (mul(c.A, frob(c.B)) ^ c.B) != 0
-        )
-        if in_shape:
+        if case9_shape(ctx, c):
             regime["size"] += 1
             if empirical:
                 regime["apn"] += 1
-            prop_says = ctx.q % 3 == 2
+            prop_says = ctx.q % 3 == CASE9_CONGRUENCE
             summary_says = ctx.q % 3 == 1
             if prop_says == empirical:
                 regime["prop-reading-matches"] += 1

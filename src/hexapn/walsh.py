@@ -2,7 +2,7 @@
 
 W(a, b) = sum over x of (-1)^(Tr2(b f(x) + a x)) with Tr2 the absolute trace
 to GF(2) (the relative trace of the field module is a different map and is
-never used here). The spectrum path runs a fast 2m-dimensional butterfly per
+never used here). The spectrum comes from a fast 2m-dimensional butterfly per
 output mask b; the transform enumerates the dual basis of linear functionals,
 which permutes the a-axis but leaves the (a, b) multiset unchanged.
 """
@@ -12,18 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .field import FieldCtx
-from .hexanomial import Coeffs, function_table
 
 Spectrum = tuple[tuple[int, int], ...]  # (|W|, count), sorted
-
-
-def walsh_coefficient(ctx: FieldCtx, c: Coeffs, a: int, b: int) -> int:
-    """Direct O(N) summation; the oracle for the fast path."""
-    f = function_table(ctx, c)
-    acc = 0
-    for x in ctx.elements():
-        acc += -1 if ctx.trace2(ctx.mul(b, f[x]) ^ ctx.mul(a, x)) else 1
-    return acc
 
 
 def _wht_rows(signs: np.ndarray) -> np.ndarray:
@@ -58,12 +48,3 @@ def extended_walsh_spectrum_table(ctx: FieldCtx, table) -> Spectrum:
     w = walsh_table(ctx, table)
     vals, counts = np.unique(np.abs(w), return_counts=True)
     return tuple((int(v), int(k)) for v, k in zip(vals, counts))
-
-
-def extended_walsh_spectrum(ctx: FieldCtx, c: Coeffs) -> Spectrum:
-    return extended_walsh_spectrum_table(ctx, function_table(ctx, c))
-
-
-def spectrum_str(spec: Spectrum) -> str:
-    """Canonical 'value:count' serialization, sorted by value."""
-    return ",".join(f"{v}:{k}" for v, k in spec)

@@ -16,12 +16,17 @@ that shares no code with the toolkit's own computation of it:
 - `offplane_zeros`: a scalar `MPoly.eval` count of the phi-fixed points
   (X1 = X0^q, Z1 = Z0^q) off the forbidden hyperplanes, in place of the
   vectorized grid of `rational_point_scan`.
+- `divides`: multivariate division by one polynomial, which is a Groebner
+  basis of the ideal it generates, in place of `gcd_bivariate`'s
+  pseudo-remainders.
+- `walsh_coefficient`: the direct O(N) sum of one Walsh coefficient, in
+  place of the fast butterfly of `walsh`.
 """
 
 from __future__ import annotations
 
 from hexapn.field import FieldCtx
-from hexapn.hexanomial import Coeffs
+from hexapn.hexanomial import Coeffs, function_table
 from hexapn.sympoly import X0, Z0, Z1, MPoly, g1_g2_displays, g_display, resultant_z0
 
 
@@ -166,3 +171,40 @@ def offplane_zeros(ctx: FieldCtx, polys: list[MPoly]) -> int:
             pt = (x0, frob(x0), z0, frob(z0))
             count += all(p.eval(pt) == 0 for p in polys)
     return count
+
+
+def divides(d: MPoly, p: MPoly) -> bool:
+    """d | p: division by d under lex order leaves no remainder.
+
+    A single polynomial is a Groebner basis of the ideal it generates, so the
+    remainder is zero exactly when p lies in (d). A leading term that the
+    leading term of d does not divide would stay in the remainder.
+    """
+    if d.is_zero():
+        return p.is_zero()
+    ctx = p.ctx
+    lead = max(d.terms)  # tuple order on (X0, X1, Z0, Z1) exponents is lex
+    inv = ctx.inv(d.terms[lead])
+    r = dict(p.terms)
+    while r:
+        e = max(r)
+        if any(ei < li for ei, li in zip(e, lead)):
+            return False
+        f = ctx.mul(r[e], inv)
+        for ed, cd in d.terms.items():
+            m = tuple(ei - li + di for ei, li, di in zip(e, lead, ed))
+            v = r.get(m, 0) ^ ctx.mul(f, cd)
+            if v:
+                r[m] = v
+            else:
+                r.pop(m, None)
+    return True
+
+
+def walsh_coefficient(ctx: FieldCtx, c: Coeffs, a: int, b: int) -> int:
+    """W(a, b) = sum over x of (-1)^Tr2(b f(x) + a x), summed directly."""
+    f = function_table(ctx, c)
+    acc = 0
+    for x in ctx.elements():
+        acc += -1 if ctx.trace2(ctx.mul(b, f[x]) ^ ctx.mul(a, x)) else 1
+    return acc

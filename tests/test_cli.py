@@ -109,11 +109,19 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 5
     code, _, err = run_cli(capsys, "sympoly", "--field", "F4", "--tuple", "a,0,0,0,0")
     assert code == 4 and "C1" in err
+    # fields stop at GF(2^10): a degree-12 spec is a bad spec, not a traceback
+    for cmd in ("verify", "theory", "invariants"):
+        code, out, err = run_cli(capsys, cmd, "--field", "gf2:12:0x1053",
+                                 "--tuple", "a,0,0,0,a")
+        assert code == 3 and out == "", cmd
+        assert err.startswith("error: bad field spec") and err.count("\n") == 1, cmd
 
 
 @pytest.mark.parametrize("argv", [
     ("--mode", "exhaustive", "--shards", "0"),
     ("--mode", "random", "--seed", "1", "--samples", "-5"),
+    ("--mode", "exhaustive", "--seed", "5"),
+    ("--mode", "exhaustive", "--samples", "7"),
 ])
 def test_search_bad_sizes_are_usage_errors(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, "search", "--field", "F4", *argv, "--out", str(tmp_path))

@@ -10,7 +10,6 @@ from hexapn.invariants import (
     gamma_delta_rank,
     gamma_rank_table,
     gf2_rank,
-    group_fingerprints,
     partition_by_fingerprint,
     partition_csv,
 )
@@ -115,17 +114,6 @@ def test_partition_and_csv(f4):
 
 def test_partition_empty(f4):
     assert partition_by_fingerprint(f4, []) == {}
-
-
-def test_group_fingerprints_mixed_fields_error(f4):
-    f16 = make_field(NAMED_SPECS["F16"])
-    c = Coeffs(2, 0, 0, 0, 2)
-    items = [(c, fingerprint(f4, c)), (c, fingerprint(f16, c))]
-    with pytest.raises(ValueError, match="mixed"):
-        group_fingerprints(items)
-    same = [(c, fingerprint(f4, c)), (Coeffs(3, 0, 0, 0, 3), fingerprint(f4, Coeffs(3, 0, 0, 0, 3)))]
-    groups = group_fingerprints(same)
-    assert sum(len(v) for v in groups.values()) == 2
 
 
 def test_fingerprints_separate_f64_representatives():

@@ -56,6 +56,10 @@ def test_job_validation():
         SearchJob(NAMED_SPECS["F4"], "exhaustive", shards=0)
     with pytest.raises(ValueError):
         SearchJob(NAMED_SPECS["F4"], "random", samples=-5, seed=1)
+    with pytest.raises(ValueError):
+        SearchJob(NAMED_SPECS["F4"], "exhaustive", seed=5)
+    with pytest.raises(ValueError):
+        SearchJob(NAMED_SPECS["F4"], "exhaustive", samples=7)
 
 
 def test_exhaustive_gate():

@@ -12,21 +12,27 @@ from hexapn.sympoly import (
     DegenerateSystemError,
     MixedContextError,
     ScanGateError,
-    X0, X1, Z0, Z1,
+    X0, Z0, Z1,
     _zpoly,
     build_f1_f2,
     build_g,
     build_variety_system,
-    divides,
     gcd_bivariate,
+    gcd_trivial,
     lowest_part_resultant_check,
     rational_point_scan,
     classify_gcd_regime,
     resultant_z0,
 )
-from hexapn.search import regime_tuples
+from hexapn.search import gcd_regime_census, regime_tuples
 
-from oracles import g_factors, gcd_nontrivial, resultant_vanishes_by_evaluation
+from oracles import (
+    divides,
+    g_factors,
+    gcd_a2_a0_nontrivial,
+    gcd_nontrivial,
+    resultant_vanishes_by_evaluation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +66,12 @@ def test_char2_square(f4):
 
 def test_lowest_and_homogeneous_parts(f4):
     p = MPoly(f4, {(0, 0, 3, 0): 1, (0, 0, 1, 1): 2})
-    assert p.lowest_part() == MPoly(f4, {(0, 0, 1, 1): 2})
+    assert p.homogeneous_part(2) == MPoly(f4, {(0, 0, 1, 1): 2})
     total = MPoly(f4)
     for i in range(p.total_degree() + 1):
         total = total + p.homogeneous_part(i)
     assert total == p
-    assert MPoly(f4).lowest_part().is_zero()
+    assert MPoly(f4).homogeneous_part(0).is_zero()
 
 
 def test_eval_matches_naive(f16):
@@ -86,13 +92,6 @@ def test_eval_matches_naive(f16):
             naive ^= t
         # terms dict may collapse duplicate keys before MPoly sees them
         assert p.eval(pt) == naive
-
-
-def test_substitute(f4):
-    # (X1 + Z0) with X1 <- Z1^2 gives Z1^2 + Z0
-    p = MPoly.var(f4, X1) + MPoly.var(f4, Z0)
-    q = p.substitute(X1, MPoly.var(f4, Z1, 2))
-    assert q == MPoly(f4, {(0, 0, 0, 2): 1, (0, 0, 1, 0): 1})
 
 
 def test_mixed_context_error(f4, f16):
@@ -288,12 +287,22 @@ def test_gcd_triviality_matches_resultant_oracle_q2_regime(f4):
     tuples = regime_tuples(f4)
     assert len(tuples) == 288
     g3_zero = 0
+    tags = {}
     for c in tuples:
         g3, g1, g2 = g_factors(f4, c)
         g3_zero += g3.is_zero()
         for g in (g1, g2):
             assert (gcd_bivariate(g3, g).total_degree() > 0) == gcd_nontrivial(g3, g), c
+        # the one gcd-triviality test, against gcd(a2, a0) = gcd(g3^2, g1 g2)
+        assert gcd_trivial(f4, c) == (not gcd_a2_a0_nontrivial(f4, c)), c
+        tag = classify_gcd_regime(f4, c)
+        tags[tag] = tags.get(tag, 0) + 1
     assert g3_zero == 36
+    assert tags == {"gcd-trivial": 48, "exceptional-candidate": 48, "generic-obstruction": 192}
+    rep = gcd_regime_census(NAMED_SPECS["F4"], full_scan=True)
+    assert rep.gcd_trivial == tags["gcd-trivial"]
+    assert rep.exceptional_apn + rep.exceptional_nonapn == tags["exceptional-candidate"]
+    assert rep.generic_apn + rep.generic_nonapn == tags["generic-obstruction"]
 
 
 def test_evaluated_resultant_matches_symbolic_q4(f16):

@@ -7,7 +7,9 @@ from hexapn.field import NAMED_SPECS, make_field
 from hexapn.hexanomial import Coeffs
 from hexapn.diffanalysis import is_apn_ddt
 from hexapn.theory import (
+    CASE9_CONGRUENCE,
     analyze,
+    case9_shape,
     cond_C1_C2,
     cond_C6,
     cubic_predicates,
@@ -210,12 +212,18 @@ def test_c2_verdict(f4):
     assert v.kind == "not-apn" and v.reason == "condition-C2"
 
 
-def test_case9_congruence_variants(f4):
-    # q = 2 = 2 (mod 3): the proposition reading matches, the printed one not
+def test_case9_congruence_variants(f4, f16):
+    # the proposition reads case 9 with q = 2 (mod 3), the printed summary
+    # with q = 1 (mod 3); the data side with the proposition at q = 2 and 4
+    assert CASE9_CONGRUENCE == 2
     c = Coeffs(2, 1, 0, 0, f4.inv(2))
-    assert 9 in match_summary_cases(f4, c, case9_congruence=2)
-    assert 9 not in match_summary_cases(f4, c, case9_congruence=1)
+    assert case9_shape(f4, c) and f4.q % 3 == 2
+    assert 9 in match_summary_cases(f4, c)
     assert is_apn_ddt(f4, c)
+    c = Coeffs(f16.pow(2, 3), 1, 0, 0, 0)  # A^(q+1) = a^15 = 1
+    assert case9_shape(f16, c) and f16.q % 3 == 1
+    assert 9 not in match_summary_cases(f16, c)
+    assert not is_apn_ddt(f16, c)
 
 
 def test_case_predicates_require_their_regimes(f16):
