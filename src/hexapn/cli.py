@@ -15,9 +15,9 @@ from pathlib import Path
 from . import __version__
 from .field import NAMED_SPECS, ReducibleModulusError, make_field, parse_field_spec
 from .hexanomial import Coeffs, to_univariate
-from .diffanalysis import ddt_csv, differential_profile, is_apn_equation
+from .diffanalysis import ddt_csv, differential_profile, is_apn_equation, is_permutation
 from .invariants import RankGateError, fingerprint, partition_by_fingerprint, partition_csv
-from .theory import analyze
+from .theory import analyze, match_summary_cases
 from .sympoly import (
     DegenerateSystemError,
     ScanGateError,
@@ -80,9 +80,6 @@ def _tuple(ctx, text: str) -> Coeffs:
 
 
 def _hit_record(ctx, c: Coeffs) -> dict:
-    fp = fingerprint(ctx, c)
-    rep = analyze(ctx, c)
-    prof = differential_profile(ctx, c)
     return {
         "field": str(ctx.spec),
         "A": ctx.format_elem(c.A),
@@ -91,9 +88,9 @@ def _hit_record(ctx, c: Coeffs) -> dict:
         "D": ctx.format_elem(c.D),
         "E": ctx.format_elem(c.E),
         "univariate": to_univariate(ctx, c).format(ctx),
-        "is_permutation": prof.is_permutation,
-        "matched_cases": list(rep.matched_cases),
-        "fingerprint_hash": fp.hash,
+        "is_permutation": is_permutation(ctx, c),
+        "matched_cases": match_summary_cases(ctx, c),
+        "fingerprint_hash": fingerprint(ctx, c).hash,
     }
 
 

@@ -43,8 +43,12 @@ def ddt_csv(ctx: FieldCtx, c: Coeffs) -> str:
 
 
 def differential_profile(ctx: FieldCtx, c: Coeffs) -> DiffProfile:
+    return differential_profile_table(ctx, function_table(ctx, c))
+
+
+def differential_profile_table(ctx: FieldCtx, f: list[int]) -> DiffProfile:
+    """The differential profile of an arbitrary function table."""
     n = ctx.size
-    f = function_table(ctx, c)
     spectrum: Counter[int] = Counter()
     uniformity = 0
     counts = [0] * n
@@ -64,7 +68,7 @@ def differential_profile(ctx: FieldCtx, c: Coeffs) -> DiffProfile:
         uniformity=uniformity,
         spectrum=tuple(sorted(spectrum.items())),
         is_apn=uniformity == 2,
-        is_permutation=is_permutation(ctx, c),
+        is_permutation=len(set(f)) == n,
     )
 
 

@@ -272,10 +272,6 @@ class FieldCtx:
         """Relative norm to GF(q): z * z^q."""
         return self.mul(z, self.frob_q(z))
 
-    def trace2(self, z: int) -> int:
-        """Absolute trace GF(q^2) -> GF(2)."""
-        return self.trace2_table[z]
-
     def in_subfield(self, z: int) -> bool:
         """True iff z lies in GF(q), i.e. z^q = z."""
         return self.frob_q(z) == z

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .field import FieldCtx
 from .hexanomial import Coeffs, function_table
-from .diffanalysis import ddt, differential_profile
+from .diffanalysis import ddt, differential_profile_table
 from .walsh import Spectrum, extended_walsh_spectrum_table
 
 RANK_GATE_ROWS = 4096
@@ -128,7 +128,7 @@ def fingerprint(
     force: bool = False,
 ) -> Fingerprint:
     table = function_table(ctx, c)
-    prof = differential_profile(ctx, c)
+    prof = differential_profile_table(ctx, table)
     walsh = extended_walsh_spectrum_table(ctx, table)
     gamma = delta = None
     if with_ranks:

@@ -39,7 +39,7 @@ from .diffanalysis import (
     is_permutation,
 )
 from .rng import Stream64
-from .theory import cond_C1_C2, cond_C6, h1_value, match_summary_cases, predict_verdict
+from .theory import _evaluate, _match, _verdict
 
 EXHAUSTIVE_GATE_BITS = 30  # (q^2)^5 <= 2^30, i.e. q <= 8
 
@@ -131,9 +131,6 @@ class SearchResult:
     counters: dict[str, int]
     manifest: dict
 
-    def hit_indices(self, n: int) -> list[int]:
-        return [tuple_index(c, n) for c in self.apn_hits]
-
 
 def tuple_index(c: Coeffs, n: int) -> int:
     return (((c.A * n + c.B) * n + c.C) * n + c.D) * n + c.E
@@ -147,29 +144,33 @@ def index_tuple(idx: int, n: int) -> Coeffs:
     return Coeffs(idx, b, cc, d, e)
 
 
-def _closed_form_drop(ctx, c: Coeffs, filters: SearchFilters):
+def _closed_form_drop(s, A, filters: SearchFilters):
     """True where the A != 0, C1/C2 or obstruction clause drops the tuple.
 
-    Works on ints and, through an _ArrayField context, on coefficient arrays
+    s is the theory's shared evaluation of the tuple. Works on ints and, when
+    s was evaluated through an _ArrayField context, on coefficient arrays
     that broadcast against each other.
     """
     drop = False
     if filters.require_a_nonzero:
-        drop = drop | (c.A == 0)
+        drop = drop | (A == 0)
     if filters.exclude_c1c2:
-        c1, c2 = cond_C1_C2(ctx, c)
-        drop = drop | c1 | c2
+        drop = drop | s.c1 | s.c2
     if filters.exclude_obstruction:
-        drop = drop | (cond_C6(ctx, c) & (h1_value(ctx, c) != 0))
+        drop = drop | (s.c6 & (s.h1 != 0))
     return drop
 
 
 def passes_filters(ctx: FieldCtx, c: Coeffs, filters: SearchFilters) -> bool:
-    if _closed_form_drop(ctx, c, filters):
+    s = _evaluate(ctx, c)
+    if _closed_form_drop(s, c.A, filters):
         return False
-    if filters.prioritized and predict_verdict(ctx, c).kind in ("excluded", "not-apn"):
-        return False
-    if filters.cases and not filters.cases.intersection(match_summary_cases(ctx, c)):
+    matched = None
+    if filters.cases:
+        matched = tuple(_match(ctx, c, s))
+        if not filters.cases.intersection(matched):
+            return False
+    if filters.prioritized and _verdict(ctx, c, s, matched).kind in ("excluded", "not-apn"):
         return False
     return True
 
@@ -237,6 +238,7 @@ def _sweep_blocks(ctx: FieldCtx, lo: int, hi: int, filters: SearchFilters):
     d_col, e_row = zs[:, None], zs[None, :]  # E-free terms: once per D, broadcast
     ds = np.repeat(zs, n)
     es = np.tile(zs, n)
+    closed = filters.exclude_c1c2 or filters.exclude_obstruction
     rescan = filters.prioritized or bool(filters.cases)
     hits: list[int] = []
     tested = 0
@@ -245,7 +247,8 @@ def _sweep_blocks(ctx: FieldCtx, lo: int, hi: int, filters: SearchFilters):
         A = blk // (n * n)
         B = (blk // n) % n
         C = blk % n
-        drop = _closed_form_drop(actx, Coeffs(A, B, C, d_col, e_row), filters)
+        s = _evaluate(actx, Coeffs(A, B, C, d_col, e_row)) if closed else None
+        drop = _closed_form_drop(s, A, filters)
         idx = np.flatnonzero(~np.broadcast_to(drop, (n, n)))
         if rescan:
             keep = [passes_filters(ctx, Coeffs(A, B, C, int(ds[i]), int(es[i])), filters)
@@ -380,19 +383,14 @@ class CensusReport:
 def regime_tuples(ctx: FieldCtx) -> list[Coeffs]:
     """All tuples with A != 0, h1 = 0 and BC^q + B^qD != 0."""
     n = ctx.size
-    mul, frob = ctx.mul, ctx.frob_q
+    zs = np.arange(n, dtype=np.uint16)
+    B, C, D = zs[:, None, None], zs[None, :, None], zs[None, None, :]
+    actx = _ArrayField(ctx)
     out = []
     for a in range(1, n):
-        for b in range(1, n):  # B = 0 forces BC^q + B^qD = 0
-            bq = frob(b)
-            for cc in range(n):
-                bcq = mul(b, frob(cc))
-                for d in range(n):
-                    if bcq ^ mul(bq, d) == 0:
-                        continue
-                    if h1_value(ctx, Coeffs(a, b, cc, d, 0)) != 0:
-                        continue  # h1 does not involve E
-                    out.extend(Coeffs(a, b, cc, d, e) for e in range(n))
+        s = _evaluate(actx, Coeffs(a, B, C, D, 0))  # h1 and BC^q + B^qD do not involve E
+        for b, cc, d in np.argwhere((s.bcd != 0) & (s.h1 == 0)):
+            out.extend(Coeffs(a, int(b), int(cc), int(d), e) for e in range(n))
     return out
 
 

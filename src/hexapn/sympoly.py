@@ -549,56 +549,6 @@ def _lex_normalize(p: MPoly) -> MPoly:
     return p.scale(p.ctx.inv(p.terms[lead]))
 
 
-# -- resultants ----------------------------------------------------------------
-
-
-def resultant_z0(p: MPoly, r: MPoly, deg_p: int | None = None, deg_r: int | None = None) -> MPoly:
-    """Resultant in Z0 of two X-free polynomials via the Sylvester determinant.
-
-    Formal degrees may be forced (leading coefficients allowed to vanish) so
-    the result is the polynomial function of the displayed coefficients.
-    """
-    ctx = p.ctx
-    p._check(r)
-    a, b = _to_zview(p), _to_zview(r)
-    dp = (len(a) - 1) if deg_p is None else deg_p
-    dr = (len(b) - 1) if deg_r is None else deg_r
-    if dp < 0 or dr < 0:
-        return MPoly(ctx)
-
-    def coeff(view, k) -> tuple[int, ...]:
-        return view[k] if 0 <= k < len(view) else ()
-
-    size = dp + dr
-    if size == 0:
-        return MPoly.const(ctx, 1)
-    # Sylvester matrix rows: dr shifts of p's coefficients, dp shifts of r's,
-    # columns indexed by descending Z0 power.
-    m: list[list[tuple[int, ...]]] = []
-    for s in range(dr):
-        m.append([coeff(a, dp - (j - s)) for j in range(size)])
-    for s in range(dp):
-        m.append([coeff(b, dr - (j - s)) for j in range(size)])
-    det = _det_upoly(ctx, m)
-    return MPoly(ctx, {(0, 0, 0, j): c for j, c in enumerate(det) if c})
-
-
-def _det_upoly(ctx, m) -> tuple[int, ...]:
-    """Determinant over GF(q^2)[Z1] by cofactor expansion (small matrices)."""
-    n = len(m)
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return m[0][0]
-    acc: tuple[int, ...] = ()
-    for j in range(n):
-        if not m[0][j]:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        acc = _u_add(acc, _u_mul(ctx, m[0][j], _det_upoly(ctx, minor)))
-    return acc
-
-
 # -- rational point scans --------------------------------------------------
 
 
@@ -668,7 +618,7 @@ def rational_point_scan(
     return int(idx.size), samples
 
 
-# -- the exceptional-case classifier -----------------------------------------
+# -- the gcd tests of the regime census ---------------------------------------
 
 
 def gcd_trivial(ctx: FieldCtx, c: Coeffs) -> bool:
@@ -694,52 +644,3 @@ def gcd_curve_has_points(ctx: FieldCtx, c: Coeffs) -> bool:
     ell = gcd_bivariate(vs.a2, vs.a0)
     count, _ = rational_point_scan(ctx, [vs.G, ell], force=True)
     return count > 0
-
-
-def classify_gcd_regime(ctx: FieldCtx, c: Coeffs) -> str:
-    """Classify a tuple in the h1 = 0, BC^q + B^q D != 0 regime.
-
-    Returns one of:
-      'not-applicable'        outside the regime
-      'gcd-trivial'           gcd(a2, a0) = 1
-      'exceptional-candidate' gcd nontrivial, but the G = l = 0 system has no
-                              off-plane phi-fixed point
-      'generic-obstruction'   gcd nontrivial with off-plane phi-fixed points
-    """
-    from .theory import h1_value
-
-    mul, frob = ctx.mul, ctx.frob_q
-    if h1_value(ctx, c) != 0:
-        return "not-applicable"
-    if mul(c.B, frob(c.C)) ^ mul(frob(c.B), c.D) == 0:
-        return "not-applicable"
-    if gcd_trivial(ctx, c):
-        return "gcd-trivial"
-    if gcd_curve_has_points(ctx, c):
-        return "generic-obstruction"
-    return "exceptional-candidate"
-
-
-# -- lowest homogeneous parts and the resultant identity -----------------------
-
-
-def lowest_parts(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly, MPoly]:
-    """The fixed-degree lowest homogeneous parts of g1, g2, g3 (degrees 1, 3, 2)."""
-    g1, g2 = g1_g2_displays(ctx, c)
-    u, _, _ = _g_display_brackets(ctx, c)
-    return g1.homogeneous_part(1), g2.homogeneous_part(3), u.homogeneous_part(2)
-
-
-def lowest_part_resultant_check(ctx: FieldCtx, c: Coeffs):
-    """Res_Z0(g1_low, g2_low) against (A^q B + B^q)^2 h1 Z1^3.
-
-    Returns (g1_low, g2_low, g3_low, resultant, identity_holds).
-    """
-    from .theory import h1_value
-
-    g1l, g2l, g3l = lowest_parts(ctx, c)
-    res = resultant_z0(g1l, g2l, deg_p=1, deg_r=3)
-    e1 = ctx.mul(ctx.frob_q(c.A), c.B) ^ ctx.frob_q(c.B)
-    scale = ctx.mul(ctx.mul(e1, e1), h1_value(ctx, c))
-    expected = MPoly(ctx, {(0, 0, 0, 3): scale} if scale else {})
-    return g1l, g2l, g3l, res, res == expected

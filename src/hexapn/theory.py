@@ -7,64 +7,81 @@ derived from the case analysis carry an 'asymptotic' caveat: the underlying
 statements are proved for large q and are applied here at desk scale, where
 exceptions are reported rather than treated as errors.
 
+The exclusions are vanishing patterns of a few quantities, and one pass,
+`_evaluate`, computes them once per tuple: the Frobenius images, the norms
+of A, C and D, h1, the brackets AB^q + B, AE^q + E, AC^q + D, AD^q + C and
+BC^q + B^qD, sigma = A^(q+1) + C^(q+1) + D^(q+1) + 1, and the conditions C1,
+C2 and C6 read off them. `match_summary_cases`, `predict_verdict`,
+`analyze`, `case9_shape`, `reconcile` and the search filters all read that
+one evaluation; `cond_C1_C2`, `cond_C6` and `h1_value` are views of it.
+
 Two known transcription discrepancies are resolved in favor of the source
 propositions and evaluated both ways where relevant:
   - case 7's cubic is B^q T^3 + B^q C T^2 + B C^q T + B;
   - case 9's congruence is q = 2 (mod 3); the variant printed with
     q = 1 (mod 3) is tabulated separately by `reconcile`.
 
-cond_C1_C2, cond_C6 and h1_value have no branches, so they also accept
+`_evaluate` has no branches, so it (and its three views) also accepts
 coefficients given as numpy arrays that broadcast against each other, with a
-context whose mul and frob_q index numpy tables; the exhaustive search builds
-its filter masks this way.
+context whose mul and frob_q index numpy tables; the exhaustive search
+builds its filter masks this way.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .field import FieldCtx
 from .hexanomial import Coeffs
 
-NEC_SUF_CASES = frozenset({1, 9, 10})
+
+#: One tuple's shared quantities: B^q, E^q, the norms nA = A^(q+1), nC and nD,
+#: h1, the brackets ab = AB^q + B, ae = AE^q + E, acd = AC^q + D,
+#: adc = AD^q + C and bcd = BC^q + B^qD, sig = nA + nC + nD + 1, and C1, C2, C6.
+_Shared = namedtuple("_Shared", "Bq Eq nA nC nD h1 ab ae acd adc bcd sig c1 c2 c6")
+
+
+def _evaluate(ctx: FieldCtx, c: Coeffs) -> _Shared:
+    """One branch-free pass over the tuple's shared quantities."""
+    mul, frob = ctx.mul, ctx.frob_q
+    A, B, C, D, E = c
+    Aq, Bq, Cq, Dq, Eq = frob(A), frob(B), frob(C), frob(D), frob(E)
+    nA, nC, nD = mul(A, Aq), mul(C, Cq), mul(D, Dq)
+    B2, B2q, nB = mul(B, B), mul(Bq, Bq), mul(B, Bq)
+    h1 = (
+        mul(nA, nB) ^ mul(A, B2q) ^ mul(Aq, B2) ^ mul(B2, mul(Cq, Dq))
+        ^ mul(nB, nC) ^ mul(nB, nD) ^ nB ^ mul(B2q, mul(C, D))
+    )
+    ab = mul(A, Bq) ^ B
+    ae = mul(A, Eq) ^ E
+    acd = mul(A, Cq) ^ D
+    adc = mul(A, Dq) ^ C
+    bcd = mul(B, Cq) ^ mul(Bq, D)
+    sig = nA ^ nC ^ nD ^ 1
+    # C1 and C2 ask A^q B = B^q and A^q E = E^q, the Frobenius images of
+    # ab = 0 and ae = 0; C2's D = AC^q is acd = 0
+    common = (A != 0) & (ab == 0) & (ae == 0)
+    c1 = common & (C == 0) & (D == 0)
+    c2 = common & (C != 0) & (D != 0) & (nA == 1) & (acd == 0)
+    c6 = (adc != 0) | (sig != 0)
+    return _Shared(Bq, Eq, nA, nC, nD, h1, ab, ae, acd, adc, bcd, sig, c1, c2, c6)
 
 
 def cond_C1_C2(ctx: FieldCtx, c: Coeffs) -> tuple[bool, bool]:
     """The two degenerations killing the X1 coefficient of G; mutually exclusive."""
-    mul, frob = ctx.mul, ctx.frob_q
-    A, B, C, D, E = c
-    Aq = frob(A)
-    common = (A != 0) & (mul(Aq, B) == frob(B)) & (mul(Aq, E) == frob(E))
-    c1 = common & (C == 0) & (D == 0)
-    c2 = common & (C != 0) & (D != 0) & (mul(A, Aq) == 1) & (D == mul(A, frob(C)))
-    return c1, c2
+    s = _evaluate(ctx, c)
+    return s.c1, s.c2
 
 
 def h1_value(ctx: FieldCtx, c: Coeffs) -> int:
     """The degree-one obstruction quantity for the B != 0 analysis."""
-    mul, frob = ctx.mul, ctx.frob_q
-    A, B, C, D, _ = c
-    Aq, Bq, Cq, Dq = frob(A), frob(B), frob(C), frob(D)
-    B2, B2q, Bq1 = mul(B, B), mul(Bq, Bq), mul(B, Bq)
-    return (
-        mul(mul(A, Aq), Bq1)
-        ^ mul(A, B2q)
-        ^ mul(Aq, B2)
-        ^ mul(B2, mul(Cq, Dq))
-        ^ mul(Bq1, mul(C, Cq))
-        ^ mul(Bq1, mul(D, Dq))
-        ^ Bq1
-        ^ mul(B2q, mul(C, D))
-    )
+    return _evaluate(ctx, c).h1
 
 
 def cond_C6(ctx: FieldCtx, c: Coeffs) -> bool:
     """(AD^q + C, A^(q+1) + C^(q+1) + D^(q+1) + 1) != (0, 0)."""
-    mul, frob = ctx.mul, ctx.frob_q
-    A, _, C, D, _ = c
-    first = mul(A, frob(D)) ^ C
-    second = mul(A, frob(A)) ^ mul(C, frob(C)) ^ mul(D, frob(D)) ^ 1
-    return (first != 0) | (second != 0)
+    return _evaluate(ctx, c).c6
 
 
 def p1_p2_values(ctx: FieldCtx, c: Coeffs) -> tuple[int, int]:
@@ -145,19 +162,14 @@ def cubic_predicates(ctx: FieldCtx, coefs: list[int]) -> tuple[bool, bool]:
 CASE9_CONGRUENCE = 2
 
 
+def _case9(c: Coeffs, s: _Shared) -> bool:
+    return c.C == 0 and c.D == 0 and c.A != 1 and s.nA == 1 and s.ae == 0 and s.ab != 0
+
+
 def case9_shape(ctx: FieldCtx, c: Coeffs) -> bool:
     """Case 9 without its congruence on q: C = D = 0, A^(q+1) = 1, A != 1,
     AE^q + E = 0 and AB^q + B != 0."""
-    mul, frob = ctx.mul, ctx.frob_q
-    A, B, C, D, E = c
-    return (
-        C == 0
-        and D == 0
-        and A != 1
-        and ctx.norm_rel(A) == 1
-        and mul(A, frob(E)) == E
-        and mul(A, frob(B)) != B
-    )
+    return _case9(c, _evaluate(ctx, c))
 
 
 def case7_cubic(ctx: FieldCtx, c: Coeffs) -> list[int]:
@@ -166,90 +178,80 @@ def case7_cubic(ctx: FieldCtx, c: Coeffs) -> list[int]:
     return [Bq, ctx.mul(Bq, c.C), ctx.mul(c.B, ctx.frob_q(c.C)), c.B]
 
 
-def c6_fails_cubic(ctx: FieldCtx, c: Coeffs) -> list[int]:
-    """T^3 + AD^q T^2 + D T + A (cases 10 and 11), as [c3, c2, c1, c0]."""
-    return [1, ctx.mul(c.A, ctx.frob_q(c.D)), c.D, c.A]
+def _cd_cubic(c: Coeffs) -> list[int]:
+    """T^3 + C T^2 + D T + A, as [c3, c2, c1, c0].
+
+    It is the C6-failure cubic T^3 + AD^q T^2 + D T + A of cases 10 and 11
+    where AD^q = C, and the B = 0 cubic T^3 + C T^2 + AC^q T + A where
+    AC^q = D; each is only scanned on its own branch.
+    """
+    return [1, c.C, c.D, c.A]
 
 
-def match_summary_cases(ctx: FieldCtx, c: Coeffs) -> list[int]:
-    """IDs (1..11) of the summary cases matched by the tuple."""
-    mul, frob = ctx.mul, ctx.frob_q
+def _match(ctx: FieldCtx, c: Coeffs, s: _Shared) -> list[int]:
+    mul = ctx.mul
     A, B, C, D, E = c
     q = ctx.q
-    Aq, Bq, Cq, Dq, Eq = frob(A), frob(B), frob(C), frob(D), frob(E)
-    nA, nC, nD = ctx.norm_rel(A), ctx.norm_rel(C), ctx.norm_rel(D)
-    h1 = h1_value(ctx, c)
-    bcd = mul(B, Cq) ^ mul(Bq, D)       # BC^q + B^q D
-    ae = mul(A, Eq) ^ E                 # AE^q + E
-    ab = mul(A, Bq) ^ B                 # AB^q + B
-    acd = mul(A, Cq) ^ D                # AC^q + D
-    adc = mul(A, Dq) ^ C                # AD^q + C
-    sig = nA ^ nC ^ nD ^ 1              # A^(q+1)+C^(q+1)+D^(q+1)+1
-
+    be = mul(B, s.Eq) ^ mul(s.Bq, E)  # BE^q + B^q E
     matched = []
 
-    # C1 implies C = D = 0; testing that first skips most cond_C1_C2 calls
-    if C == 0 and D == 0 and nA != 1 and cond_C1_C2(ctx, c)[0]:
+    if s.c1 and s.nA != 1:
         matched.append(1)
 
-    if B == 0 and acd == 0 and ae != 0 and mul(nA ^ 1, nC ^ 1) == 0:
+    if B == 0 and s.acd == 0 and s.ae != 0 and mul(s.nA ^ 1, s.nC ^ 1) == 0:
         matched.append(2)
 
-    if B == 0 and E == 0 and acd != 0:
-        if sig == 0 and ctx.pow(acd, q - 1) == ctx.pow(adc, 2 * (q - 1)):
+    if B == 0 and E == 0 and s.acd != 0:
+        if s.sig == 0 and ctx.pow(s.acd, q - 1) == ctx.pow(s.adc, 2 * (q - 1)):
             matched.append(3)
-        if sig != 0 and adc != 0:
+        if s.sig != 0 and s.adc != 0:
             p1, p2 = p1_p2_values(ctx, c)
             if mul(p1, p2) == 0:
                 matched.append(4)
 
-    if h1 == 0 and bcd != 0:
-        e1 = mul(Aq, B) ^ Bq
-        if (
-            Cq == mul(Aq, B) ^ mul(Aq, D) ^ Bq
-            and e1 != 0
-            and ctx.norm_rel(B) ^ ctx.norm_rel(D) ^ mul(B, Dq) ^ mul(Bq, D) ^ 1 == 0
-        ):
+    if s.h1 == 0 and s.bcd != 0:
+        # C^q = A^q B + A^q D + B^q with A^q B + B^q != 0, read through the
+        # Frobenius as AD^q + C = AB^q + B != 0; and (B + D)^(q+1) = 1
+        if s.adc == s.ab and s.ab != 0 and ctx.norm_rel(B ^ D) == 1:
             matched.append(5)
         if E == 0:
             matched.append(6)
 
-    if h1 == 0 and bcd == 0 and B == mul(Bq, A) and (mul(B, Eq) ^ mul(Bq, E)) != 0:
+    if s.h1 == 0 and s.bcd == 0 and s.ab == 0 and be != 0:
         has_root, _ = cubic_predicates(ctx, case7_cubic(ctx, c))
         if not has_root:
             matched.append(7)
 
     if (
-        adc == 0
-        and mul(ab, ae) != 0
-        and nD == 1
-        and nA != 1
-        and mul(B, Eq) == mul(Bq, E)
-        and ctx.mul(ae, ctx.inv(frob(ae))) == mul(D, ctx.sqrt(D))
+        s.adc == 0
+        and s.ab != 0
+        and s.ae != 0
+        and s.nD == 1
+        and s.nA != 1
+        and be == 0
+        and mul(s.ae, ctx.inv(ctx.frob_q(s.ae))) == mul(D, ctx.sqrt(D))
     ):
         matched.append(8)
 
-    if q % 3 == CASE9_CONGRUENCE and case9_shape(ctx, c):
+    if q % 3 == CASE9_CONGRUENCE and _case9(c, s):
         matched.append(9)
 
-    if (
-        C == mul(A, Dq)
-        and nA == 1
-        and ae == 0
-        and ab != 0
-        and D != 0
-        and nD != 1
-    ):
-        has_root, _ = cubic_predicates(ctx, c6_fails_cubic(ctx, c))
+    if s.adc == 0 and s.nA == 1 and s.ae == 0 and s.ab != 0 and D != 0 and s.nD != 1:
+        has_root, _ = cubic_predicates(ctx, _cd_cubic(c))
         if not has_root:
             matched.append(10)
 
-    if nA == 1 and mul(A, Dq) == C and B != 0 and ae != 0 and ab == 0:
-        has_root, _ = cubic_predicates(ctx, c6_fails_cubic(ctx, c))
+    if s.adc == 0 and s.nA == 1 and B != 0 and s.ae != 0 and s.ab == 0:
+        has_root, _ = cubic_predicates(ctx, _cd_cubic(c))
         if not has_root:
             matched.append(11)
 
     return matched
+
+
+def match_summary_cases(ctx: FieldCtx, c: Coeffs) -> list[int]:
+    """IDs (1..11) of the summary cases matched by the tuple."""
+    return _match(ctx, c, _evaluate(ctx, c))
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -297,88 +299,79 @@ class TheoryReport:
         }
 
 
-def _exclusion_reason(ctx: FieldCtx, c: Coeffs) -> str:
-    """Name the theorem family responsible when no summary case matches."""
-    mul, frob = ctx.mul, ctx.frob_q
-    h1 = h1_value(ctx, c)
-    if c.B != 0:
-        if h1 != 0:
-            if cond_C6(ctx, c):
-                return "generic-obstruction"
-            return "c6-fails-no-case"
-        if mul(c.B, frob(c.C)) ^ mul(frob(c.B), c.D) != 0:
-            return "gcd-regime-no-case"
-        return "c7-degenerate-no-case"
-    acd = mul(c.A, frob(c.C)) ^ c.D
-    if acd == 0:
-        return "b0-collapsed-branch"
-    if c.E != 0:
-        return "b0-nonzero-e"
-    return "b0-trace-branch"
-
-
-def predict_verdict(ctx: FieldCtx, c: Coeffs) -> Verdict:
-    mul, frob = ctx.mul, ctx.frob_q
-    c1, c2 = cond_C1_C2(ctx, c)
-    if c1:
-        if ctx.norm_rel(c.A) != 1:
+def _verdict(ctx: FieldCtx, c: Coeffs, s: _Shared, matched: tuple[int, ...] | None = None) -> Verdict:
+    """The verdict from one evaluation; the cases are matched here unless given."""
+    if s.c1:
+        if s.nA != 1:
             return Verdict("apn", (1,), "condition-C1")
         return Verdict("not-apn", (), "condition-C1")
-    if c2:
+    if s.c2:
         return Verdict("not-apn", (), "condition-C2")
-
-    matched = tuple(match_summary_cases(ctx, c))
+    if matched is None:
+        matched = tuple(_match(ctx, c, s))
 
     # The C6-failure branch with AB^q + B != 0 and AE^q + E = 0 is decided
     # both ways: APN exactly when case 9 or 10 matches.
-    adc = mul(c.A, frob(c.D)) ^ c.C
-    sig = ctx.norm_rel(c.A) ^ ctx.norm_rel(c.C) ^ ctx.norm_rel(c.D) ^ 1
-    ab = mul(c.A, frob(c.B)) ^ c.B
-    ae = mul(c.A, frob(c.E)) ^ c.E
-    if adc == 0 and sig == 0 and ab != 0 and ae == 0:
+    if not s.c6 and s.ab != 0 and s.ae == 0:
         hit = tuple(i for i in matched if i in (9, 10))
         if hit:
             return Verdict("apn", hit, "c6-fails-iff")
         return Verdict("excluded", matched, "c6-fails-iff-complement")
-
     if matched:
         return Verdict("candidate", matched, "necessary-conditions")
-    return Verdict("excluded", (), _exclusion_reason(ctx, c))
+
+    # No case matched: name the theorem family responsible.
+    if c.B != 0:
+        if s.h1 != 0:
+            reason = "generic-obstruction" if s.c6 else "c6-fails-no-case"
+        elif s.bcd != 0:
+            reason = "gcd-regime-no-case"
+        else:
+            reason = "c7-degenerate-no-case"
+    elif s.acd == 0:
+        reason = "b0-collapsed-branch"
+    elif c.E != 0:
+        reason = "b0-nonzero-e"
+    else:
+        reason = "b0-trace-branch"
+    return Verdict("excluded", (), reason)
+
+
+def predict_verdict(ctx: FieldCtx, c: Coeffs) -> Verdict:
+    return _verdict(ctx, c, _evaluate(ctx, c))
 
 
 def analyze(ctx: FieldCtx, c: Coeffs) -> TheoryReport:
     """Full predicate evaluation for one tuple."""
-    mul, frob = ctx.mul, ctx.frob_q
-    c1, c2 = cond_C1_C2(ctx, c)
+    s = _evaluate(ctx, c)
     p1, p2 = p1_p2_values(ctx, c)
-    h1 = h1_value(ctx, c)
-    bcd = mul(c.B, frob(c.C)) ^ mul(frob(c.B), c.D)
 
     cubic_flags: dict[str, bool | None] = {
         "b0-part2-unit-norm-root": None,
         "c7-degenerate-has-root": None,
         "c6-fails-has-root": None,
     }
-    if c.B == 0 and (mul(c.A, frob(c.C)) ^ c.D) == 0:
-        _, unit = cubic_predicates(ctx, [1, c.C, mul(c.A, frob(c.C)), c.A])
+    if c.B == 0 and s.acd == 0:
+        _, unit = cubic_predicates(ctx, _cd_cubic(c))
         cubic_flags["b0-part2-unit-norm-root"] = unit
-    if h1 == 0 and bcd == 0 and c.B != 0:
+    if s.h1 == 0 and s.bcd == 0 and c.B != 0:
         has_root, _ = cubic_predicates(ctx, case7_cubic(ctx, c))
         cubic_flags["c7-degenerate-has-root"] = has_root
-    if (mul(c.A, frob(c.D)) ^ c.C) == 0:
-        has_root, _ = cubic_predicates(ctx, c6_fails_cubic(ctx, c))
+    if s.adc == 0:
+        has_root, _ = cubic_predicates(ctx, _cd_cubic(c))
         cubic_flags["c6-fails-has-root"] = has_root
 
+    matched = tuple(_match(ctx, c, s))
     return TheoryReport(
-        c1=c1,
-        c2=c2,
-        c6=cond_C6(ctx, c),
-        h1=h1,
+        c1=s.c1,
+        c2=s.c2,
+        c6=s.c6,
+        h1=s.h1,
         p1=p1,
         p2=p2,
         cubic_flags=cubic_flags,
-        matched_cases=tuple(match_summary_cases(ctx, c)),
-        verdict=predict_verdict(ctx, c),
+        matched_cases=matched,
+        verdict=_verdict(ctx, c, s, matched),
     )
 
 
@@ -430,7 +423,8 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
         rep.total += 1
         if empirical:
             rep.apn_total += 1
-        v = predict_verdict(ctx, c)
+        s = _evaluate(ctx, c)
+        v = _verdict(ctx, c, s)
         if v.kind == "apn" and empirical:
             rep.confirmations += 1
         elif v.kind == "candidate" and empirical:
@@ -451,7 +445,7 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
                 rep.contradictions_case10 += 1
 
         # case-9 regime tabulation under the two congruence readings
-        if case9_shape(ctx, c):
+        if _case9(c, s):
             regime["size"] += 1
             if empirical:
                 regime["apn"] += 1

@@ -21,13 +21,20 @@ that shares no code with the toolkit's own computation of it:
   pseudo-remainders.
 - `walsh_coefficient`: the direct O(N) sum of one Walsh coefficient, in
   place of the fast butterfly of `walsh`.
+- `lowest_part_resultant_check`: Res_Z0 of the lowest homogeneous parts of
+  g1 and g2 by `resultant_z0`, against the closed form (A^q B + B^q)^2 h1 Z1^3
+  that the theory's h1 predicts.
+
+`resultant_z0` is a Sylvester determinant over GF(q^2)[Z1], expanded by
+cofactors (n! terms; fine for the small matrices used here).
 """
 
 from __future__ import annotations
 
 from hexapn.field import FieldCtx
 from hexapn.hexanomial import Coeffs, function_table
-from hexapn.sympoly import X0, Z0, Z1, MPoly, g1_g2_displays, g_display, resultant_z0
+from hexapn.sympoly import X0, Z0, Z1, MPoly, g1_g2_displays, g_display
+from hexapn.theory import h1_value
 
 
 def f4_closed_form_apn(c: Coeffs) -> bool:
@@ -103,6 +110,57 @@ def _eval_u(ctx: FieldCtx, a: list[int], z: int) -> int:
     for coef in reversed(a):
         acc = ctx.mul(acc, z) ^ coef
     return acc
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x ^ (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+
+def _mul(ctx: FieldCtx, a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= ctx.mul(x, y)
+    return _trim(out)
+
+
+def _det_upoly(ctx: FieldCtx, m: list[list[list[int]]]) -> list[int]:
+    """Determinant over GF(q^2)[Z1] by cofactor expansion along the first row."""
+    if not m:
+        return [1]
+    acc: list[int] = []
+    for j, entry in enumerate(m[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            acc = _add(acc, _mul(ctx, entry, _det_upoly(ctx, minor)))
+    return acc
+
+
+def resultant_z0(p: MPoly, r: MPoly, deg_p: int | None = None, deg_r: int | None = None) -> MPoly:
+    """Resultant in Z0 of two X-free polynomials via the Sylvester determinant.
+
+    Formal degrees may be forced (leading coefficients allowed to vanish) so
+    the result is the polynomial function of the displayed coefficients.
+    """
+    ctx = p.ctx
+    a, b = _z0_columns(p) or [[]], _z0_columns(r) or [[]]  # a zero polynomial has one zero column
+    dp = len(a) - 1 if deg_p is None else deg_p
+    dr = len(b) - 1 if deg_r is None else deg_r
+    size = dp + dr
+
+    def coeff(cols, k):
+        return cols[k] if 0 <= k < len(cols) else []
+
+    # rows: dr shifts of p's coefficients, dp shifts of r's; columns by
+    # descending Z0 power
+    m = [[coeff(a, dp - (j - s)) for j in range(size)] for s in range(dr)]
+    m += [[coeff(b, dr - (j - s)) for j in range(size)] for s in range(dp)]
+    det = _det_upoly(ctx, m)
+    return MPoly(ctx, {(0, 0, 0, j): v for j, v in enumerate(det) if v})
 
 
 def resultant_vanishes_by_evaluation(p: MPoly, r: MPoly) -> bool:
@@ -206,5 +264,24 @@ def walsh_coefficient(ctx: FieldCtx, c: Coeffs, a: int, b: int) -> int:
     f = function_table(ctx, c)
     acc = 0
     for x in ctx.elements():
-        acc += -1 if ctx.trace2(ctx.mul(b, f[x]) ^ ctx.mul(a, x)) else 1
+        acc += -1 if ctx.trace2_table[ctx.mul(b, f[x]) ^ ctx.mul(a, x)] else 1
     return acc
+
+
+def lowest_parts(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly, MPoly]:
+    """The fixed-degree lowest homogeneous parts of g1, g2, g3 (degrees 1, 3, 2)."""
+    g3, g1, g2 = g_factors(ctx, c)
+    return g1.homogeneous_part(1), g2.homogeneous_part(3), g3.homogeneous_part(2)
+
+
+def lowest_part_resultant_check(ctx: FieldCtx, c: Coeffs):
+    """Res_Z0(g1_low, g2_low) against (A^q B + B^q)^2 h1 Z1^3.
+
+    Returns (g1_low, g2_low, g3_low, resultant, identity_holds).
+    """
+    g1l, g2l, g3l = lowest_parts(ctx, c)
+    res = resultant_z0(g1l, g2l, deg_p=1, deg_r=3)
+    e1 = ctx.mul(ctx.frob_q(c.A), c.B) ^ ctx.frob_q(c.B)
+    scale = ctx.mul(ctx.mul(e1, e1), h1_value(ctx, c))
+    expected = MPoly(ctx, {(0, 0, 0, 3): scale} if scale else {})
+    return g1l, g2l, g3l, res, res == expected

@@ -33,7 +33,6 @@ from hexapn.sympoly import (
     build_variety_system,
     g_display,
     gcd_bivariate,
-    lowest_part_resultant_check,
     rational_point_scan,
 )
 from hexapn.search import (
@@ -44,9 +43,15 @@ from hexapn.search import (
     index_tuple,
     regime_tuples,
     run_exhaustive,
+    tuple_index,
 )
 
-from oracles import f4_closed_form_apn, gcd_a2_a0_nontrivial, offplane_zeros
+from oracles import (
+    f4_closed_form_apn,
+    gcd_a2_a0_nontrivial,
+    lowest_part_resultant_check,
+    offplane_zeros,
+)
 
 
 def _clause(crit, name, ok, detail):
@@ -342,7 +347,7 @@ def test_criterion_10_reconciliation(q2_unfiltered, q4_unfiltered):
     for fname, res in (("F4", q2_unfiltered), ("F16", q4_unfiltered)):
         ctx = make_field(NAMED_SPECS[fname])
         n = ctx.size
-        hits = set(res.hit_indices(n))
+        hits = {tuple_index(c, n) for c in res.apn_hits}
         batch = ((index_tuple(i, n), i in hits) for i in range(n ** 5))
         rep = reconcile(ctx, batch)
         resolutions[fname] = rep.congruence_resolution

@@ -129,7 +129,7 @@ def test_exhaustive_obstruction_filter_matches_scalar_oracle_q4():
     assert res.counters["skipped_by_filter"] == 16 ** 5 - len(kept)
     unfiltered = run_exhaustive(SearchJob(spec, "exhaustive", filters=NO_FILTERS), verify=False)
     kept_set = set(kept)
-    assert res.hit_indices(16) == [i for i in unfiltered.hit_indices(16) if i in kept_set]
+    assert res.apn_hits == [c for c in unfiltered.apn_hits if tuple_index(c, 16) in kept_set]
     assert res.counters["apn"] == 30116
 
 

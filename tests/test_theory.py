@@ -1,13 +1,17 @@
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hexapn.field import NAMED_SPECS, make_field
 from hexapn.hexanomial import Coeffs
 from hexapn.diffanalysis import is_apn_ddt
+from hexapn.search import _ArrayField
 from hexapn.theory import (
     CASE9_CONGRUENCE,
+    _evaluate,
     analyze,
     case9_shape,
     cond_C1_C2,
@@ -263,3 +267,80 @@ def test_reconcile_small_batch(f4):
     assert rep.contradictions_case9 == rep.contradictions_case10 == 0
     total_excep = sum(rep.exceptions_by_reason.values())
     assert rep.apn_total == rep.confirmations + total_excep + rep.contradictions_c1 + rep.contradictions_c2
+
+
+# -- per-tuple pins of the shared evaluation --------------------------------------
+
+
+def shaped_tuples(ctx, rng, count):
+    """Random tuples, each pushed at random into the shapes the cases single
+    out: A of norm 1, B = 0, E = 0, C = D = 0, D = AC^q or C = AD^q."""
+    n = ctx.size
+    unit = [z for z in range(1, n) if ctx.norm_rel(z) == 1]
+    for _ in range(count):
+        A, B, C, D, E = (rng.randrange(n) for _ in range(5))
+        if rng.random() < 0.3:
+            A = rng.choice(unit)
+        if rng.random() < 0.3:
+            B = 0
+        if rng.random() < 0.3:
+            E = 0
+        if rng.random() < 0.25:
+            C = D = 0
+        r = rng.random()
+        if r < 0.2:
+            D = ctx.mul(A, ctx.frob_q(C))
+        elif r < 0.4:
+            C = ctx.mul(A, ctx.frob_q(D))
+        yield Coeffs(A, B, C, D, E)
+
+
+#: sha256 of the per-tuple (cases, verdict kind, verdict cases, reason) lines
+#: below, as computed before the shared evaluation replaced the separate
+#: transcriptions of each quantity.
+THEORY_DIGEST = "be1e913b20dbc7f055ad37bd8ffce9ea7113c6c93b3f14c037298b169de3e550"
+
+
+def test_per_tuple_theory_output_pinned(f4, f16):
+    f64 = make_field(NAMED_SPECS["F64"])
+    rng = random.Random(16)
+    tuples = [(f4, Coeffs(*t)) for t in itertools.product(range(4), repeat=5)]
+    tuples += [(ctx, c) for ctx in (f16, f64) for c in shaped_tuples(ctx, rng, 1500)]
+    digest = hashlib.sha256()
+    cases, reasons = set(), set()
+    for ctx, c in tuples:
+        matched = match_summary_cases(ctx, c)
+        v = predict_verdict(ctx, c)
+        rep = analyze(ctx, c)
+        assert rep.matched_cases == tuple(matched), c
+        assert rep.verdict == v, c
+        line = (str(ctx.spec), tuple(c), matched, v.kind, v.cases, v.reason)
+        digest.update(repr(line).encode() + b"\n")
+        cases.update(matched)
+        reasons.add(v.reason)
+    assert cases == set(range(1, 12))  # every case and every verdict reason
+    assert len(reasons) == 12
+    assert digest.hexdigest() == THEORY_DIGEST
+
+
+def test_shared_pass_scalar_matches_array():
+    # the exhaustive sweep evaluates the pass on arrays through _ArrayField:
+    # whole columns of tuples, and (A, B, C) blocks with D a column, E a row
+    rng = random.Random(17)
+    for name in ("F4", "F16", "F64", "F256"):
+        ctx = make_field(NAMED_SPECS[name])
+        actx = _ArrayField(ctx)
+        tuples = list(shaped_tuples(ctx, rng, 400))
+        cols = [np.array(col, dtype=np.uint16) for col in zip(*tuples)]
+        arr = _evaluate(actx, Coeffs(*cols))
+        for i, c in enumerate(tuples):
+            assert [int(v[i]) for v in arr] == [int(v) for v in _evaluate(ctx, c)], (name, c)
+        if ctx.size > 64:
+            continue
+        zs = np.arange(ctx.size, dtype=np.uint16)
+        for A, B, C, _, _ in tuples[:2]:
+            arr = _evaluate(actx, Coeffs(A, B, C, zs[:, None], zs[None, :]))
+            full = [np.broadcast_to(v, (ctx.size, ctx.size)) for v in arr]
+            for d, e in itertools.product(range(ctx.size), repeat=2):
+                s = _evaluate(ctx, Coeffs(A, B, C, d, e))
+                assert [int(v[d, e]) for v in full] == [int(v) for v in s], (name, A, B, C, d, e)
