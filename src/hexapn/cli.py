@@ -14,9 +14,10 @@ from pathlib import Path
 
 from . import __version__
 from .field import NAMED_SPECS, ReducibleModulusError, make_field, parse_field_spec
-from .hexanomial import Coeffs, to_univariate
-from .diffanalysis import ddt_csv, differential_profile, is_apn_equation, is_permutation
-from .invariants import RankGateError, fingerprint, partition_by_fingerprint, partition_csv
+from .hexanomial import Coeffs, function_table, to_univariate
+from .diffanalysis import ddt_csv, differential_profile, differential_profile_table, is_apn_equation
+from .invariants import RankGateError, fingerprint, fingerprint_table, partition_by_fingerprint
+from .invariants import partition_csv
 from .theory import analyze, match_summary_cases
 from .sympoly import (
     DegenerateSystemError,
@@ -79,19 +80,35 @@ def _tuple(ctx, text: str) -> Coeffs:
         raise CliError(f"bad tuple: {exc}", EXIT_BAD_SPEC) from None
 
 
-def _hit_record(ctx, c: Coeffs) -> dict:
-    return {
-        "field": str(ctx.spec),
-        "A": ctx.format_elem(c.A),
-        "B": ctx.format_elem(c.B),
-        "C": ctx.format_elem(c.C),
-        "D": ctx.format_elem(c.D),
-        "E": ctx.format_elem(c.E),
-        "univariate": to_univariate(ctx, c).format(ctx),
-        "is_permutation": is_permutation(ctx, c),
-        "matched_cases": match_summary_cases(ctx, c),
-        "fingerprint_hash": fingerprint(ctx, c).hash,
-    }
+def _report(ctx, c: Coeffs):
+    """(differential profile, fingerprint, matched summary cases) of one
+    tuple, from one function table."""
+    table = function_table(ctx, c)
+    prof = differential_profile_table(ctx, table)
+    return prof, fingerprint_table(ctx, table, prof), match_summary_cases(ctx, c)
+
+
+def _write_hits(ctx, hits: list[Coeffs], path: Path) -> dict:
+    """One JSONL record per hit; returns the hits grouped by fingerprint."""
+    groups = {}
+    with open(path, "w") as fh:
+        for c in hits:
+            prof, fp, cases = _report(ctx, c)
+            rec = {
+                "field": str(ctx.spec),
+                "A": ctx.format_elem(c.A),
+                "B": ctx.format_elem(c.B),
+                "C": ctx.format_elem(c.C),
+                "D": ctx.format_elem(c.D),
+                "E": ctx.format_elem(c.E),
+                "univariate": to_univariate(ctx, c).format(ctx),
+                "is_permutation": prof.is_permutation,
+                "matched_cases": cases,
+                "fingerprint_hash": fp.hash,
+            }
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            groups.setdefault(fp, []).append(c)
+    return groups
 
 
 def cmd_search(args) -> int:
@@ -119,9 +136,7 @@ def cmd_search(args) -> int:
     stem = f"search_{args.field.lower()}_{args.mode}"
     manifest = {**res.manifest, "counters": res.counters}
     hits_path = out / f"{stem}_hits.jsonl"
-    with open(hits_path, "w") as fh:
-        for c in res.apn_hits:
-            fh.write(json.dumps(_hit_record(ctx, c), sort_keys=True) + "\n")
+    _write_hits(ctx, res.apn_hits, hits_path)
     manifest_path = out / f"{stem}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(json.dumps(manifest, indent=2, sort_keys=True))
@@ -243,9 +258,7 @@ def cmd_repro_appendix(args) -> int:
     for fname, texts in TABLE_REPRESENTATIVES:
         ctx = make_field(NAMED_SPECS[fname])
         c = Coeffs(*(ctx.parse_elem(t) for t in texts))
-        prof = differential_profile(ctx, c)
-        rep = analyze(ctx, c)
-        fp = fingerprint(ctx, c)
+        prof, fp, cases = _report(ctx, c)
         rows.append(",".join([
             fname,
             *texts,
@@ -254,7 +267,7 @@ def cmd_repro_appendix(args) -> int:
             str(prof.is_permutation),
             str(prof.uniformity),
             fp.hash,
-            ";".join(map(str, rep.matched_cases)),
+            ";".join(map(str, cases)),
         ]))
     (out / "representatives.csv").write_text("\n".join(rows) + "\n")
 
@@ -275,10 +288,7 @@ def cmd_repro_appendix(args) -> int:
         (out / f"search_{fname.lower()}_manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
-        with open(out / f"search_{fname.lower()}_hits.jsonl", "w") as fh:
-            for c in res.apn_hits:
-                fh.write(json.dumps(_hit_record(ctx, c), sort_keys=True) + "\n")
-        groups = partition_by_fingerprint(ctx, res.apn_hits)
+        groups = _write_hits(ctx, res.apn_hits, out / f"search_{fname.lower()}_hits.jsonl")
         (out / f"partition_{fname.lower()}.csv").write_text(partition_csv(groups, ctx))
     print(f"appendix artifacts written to {out}", file=sys.stderr)
     return 0
@@ -299,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--tuple", required=True,
                             help="five elements A,B,C,D,E as a^k / 0 / 1 / 0x-hex")
         sp.add_argument("--out", help="output directory (default $HEXAPN_OUT or .)")
-        sp.add_argument("--force-gate", action="store_true",
-                        help="override size gates for expensive computations")
 
     sp = sub.add_parser("search", help="exhaustive or seeded-random APN search")
     sp.add_argument("--field", required=True)
@@ -338,13 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--scan", action="store_true",
                     help="also count off-plane phi-fixed points of (F1, F2)")
+    sp.add_argument("--force-gate", action="store_true",
+                    help="override the point-scan size gate")
     sp.set_defaults(func=cmd_sympoly)
 
     sp = sub.add_parser("repro-appendix",
                         help="regenerate representative table and census artifacts")
     sp.add_argument("--out")
     sp.add_argument("--full", action="store_true", help="include the q=4 runs (minutes)")
-    sp.add_argument("--force-gate", action="store_true")
     sp.set_defaults(func=cmd_repro_appendix)
     return p
 

@@ -25,17 +25,20 @@ class DiffProfile:
     is_permutation: bool
 
 
+def _ddt_rows(f: list[int]):
+    """Rows a = 1..N-1 of the DDT of the function table f: the one full-DDT loop."""
+    n = len(f)
+    for a in range(1, n):
+        row = [0] * n
+        for x in range(n):
+            row[f[x ^ a] ^ f[x]] += 1
+        yield row
+
+
 def ddt(ctx: FieldCtx, c: Coeffs) -> list[list[int]]:
     """Full N x N table; row a = 0 is the degenerate [N, 0, ..., 0]."""
     n = ctx.size
-    f = function_table(ctx, c)
-    table = [[0] * n for _ in range(n)]
-    table[0][0] = n
-    for a in range(1, n):
-        row = table[a]
-        for x in range(n):
-            row[f[x ^ a] ^ f[x]] += 1
-    return table
+    return [[n] + [0] * (n - 1), *_ddt_rows(function_table(ctx, c))]
 
 
 def ddt_csv(ctx: FieldCtx, c: Coeffs) -> str:
@@ -48,27 +51,16 @@ def differential_profile(ctx: FieldCtx, c: Coeffs) -> DiffProfile:
 
 def differential_profile_table(ctx: FieldCtx, f: list[int]) -> DiffProfile:
     """The differential profile of an arbitrary function table."""
-    n = ctx.size
     spectrum: Counter[int] = Counter()
     uniformity = 0
-    counts = [0] * n
-    for a in range(1, n):
-        for x in range(n):
-            counts[f[x ^ a] ^ f[x]] += 1
-        row_max = 0
-        for b in range(n):
-            v = counts[b]
-            spectrum[v] += 1
-            if v > row_max:
-                row_max = v
-            counts[b] = 0
-        if row_max > uniformity:
-            uniformity = row_max
+    for row in _ddt_rows(f):
+        spectrum.update(row)
+        uniformity = max(uniformity, max(row))
     return DiffProfile(
         uniformity=uniformity,
         spectrum=tuple(sorted(spectrum.items())),
         is_apn=uniformity == 2,
-        is_permutation=len(set(f)) == n,
+        is_permutation=len(set(f)) == ctx.size,
     )
 
 
@@ -77,23 +69,17 @@ def is_apn_ddt(ctx: FieldCtx, c: Coeffs, early_abort: bool = True) -> bool:
 
     With early_abort, a row is abandoned as soon as any count reaches 4.
     """
-    n = ctx.size
     f = function_table(ctx, c)
-    counts = [0] * n
+    if not early_abort:
+        return differential_profile_table(ctx, f).is_apn
+    n = ctx.size
     for a in range(1, n):
-        bad = False
+        counts = [0] * n
         for x in range(n):
             b = f[x ^ a] ^ f[x]
             counts[b] += 1
-            if early_abort and counts[b] >= 4:
-                bad = True
-                break
-        if not early_abort:
-            bad = max(counts) >= 4
-        for b in range(n):
-            counts[b] = 0
-        if bad:
-            return False
+            if counts[b] >= 4:
+                return False
     return True
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .field import FieldCtx
 from .hexanomial import Coeffs, function_table
-from .diffanalysis import ddt, differential_profile_table
+from .diffanalysis import DiffProfile, _ddt_rows, differential_profile_table
 from .walsh import Spectrum, extended_walsh_spectrum_table
 
 RANK_GATE_ROWS = 4096
@@ -51,27 +51,29 @@ def _incidence_rank(dim_bits: int, points: list[int]) -> int:
 
 def gamma_rank_table(ctx: FieldCtx, table: list[int], force: bool = False) -> int:
     """GF(2) rank of the graph incidence matrix of an arbitrary function table."""
-    n = ctx.size
-    _check_gate(n, force)
+    _check_gate(ctx.size, force)
     graph = [(x << ctx.n) | fx for x, fx in enumerate(table)]
     return _incidence_rank(2 * ctx.n, graph)
 
 
+def _delta_rank_table(ctx: FieldCtx, table: list[int], force: bool = False) -> int:
+    """GF(2) rank of the DDT-support incidence matrix of a function table."""
+    _check_gate(ctx.size, force)
+    pts = [
+        (a << ctx.n) | b
+        for a, row in enumerate(_ddt_rows(table), 1)
+        for b, v in enumerate(row)
+        if v > 0
+    ]
+    return _incidence_rank(2 * ctx.n, pts)
+
+
 def gamma_delta_rank(ctx: FieldCtx, c: Coeffs, which: str, force: bool = False) -> int:
     """Gamma: incidence rank of the graph {(x, f(x))}; Delta: of the DDT support."""
-    n = ctx.size
-    _check_gate(n, force)
     if which == "gamma":
         return gamma_rank_table(ctx, function_table(ctx, c), force=force)
     if which == "delta":
-        table = ddt(ctx, c)
-        pts = [
-            (a << ctx.n) | b
-            for a in range(1, n)
-            for b in range(n)
-            if table[a][b] > 0
-        ]
-        return _incidence_rank(2 * ctx.n, pts)
+        return _delta_rank_table(ctx, function_table(ctx, c), force=force)
     raise ValueError(f"which must be 'gamma' or 'delta', not {which!r}")
 
 
@@ -128,18 +130,21 @@ def fingerprint(
     force: bool = False,
 ) -> Fingerprint:
     table = function_table(ctx, c)
-    prof = differential_profile_table(ctx, table)
-    walsh = extended_walsh_spectrum_table(ctx, table)
-    gamma = delta = None
+    fp = fingerprint_table(ctx, table, differential_profile_table(ctx, table))
     if with_ranks:
-        gamma = gamma_delta_rank(ctx, c, "gamma", force=force)
-        delta = gamma_delta_rank(ctx, c, "delta", force=force)
+        fp = replace(fp, gamma_rank=gamma_rank_table(ctx, table, force=force),
+                     delta_rank=_delta_rank_table(ctx, table, force=force))
+    return fp
+
+
+def fingerprint_table(ctx: FieldCtx, table: list[int], prof: DiffProfile) -> Fingerprint:
+    """The rank-free fingerprint of a function table whose differential profile is prof."""
     return Fingerprint(
         field=str(ctx.spec),
         diff_spectrum=prof.spectrum,
-        walsh_spectrum=walsh,
-        gamma_rank=gamma,
-        delta_rank=delta,
+        walsh_spectrum=extended_walsh_spectrum_table(ctx, table),
+        gamma_rank=None,
+        delta_rank=None,
     )
 
 

@@ -30,13 +30,13 @@ import numpy as np
 
 from . import __version__
 from .field import FieldCtx, FieldSpec, make_field
-from .hexanomial import Coeffs
+from .hexanomial import Coeffs, function_table
 from .diffanalysis import (
     BatchTables,
     apn_mask_batch,
+    differential_profile_table,
     is_apn_ddt,
     is_apn_equation,
-    is_permutation,
 )
 from .rng import Stream64
 from .theory import _evaluate, _match, _verdict
@@ -195,16 +195,19 @@ def _run(job: SearchJob, worker, total: int, verify: bool) -> SearchResult:
     hit_lists, tested, skipped = zip(*parts)
     n = ctx.size
     hits = [index_tuple(i, n) for i in sorted(set().union(*hit_lists))]
-    if verify:
-        for c in hits:
-            if not (is_apn_ddt(ctx, c, early_abort=False) and is_apn_equation(ctx, c)):
-                raise AssertionError(f"hit {c} failed independent re-verification")
+    permutations = 0
+    for c in hits:
+        table = function_table(ctx, c)
+        permutations += len(set(table)) == n
+        if verify and not (differential_profile_table(ctx, table).is_apn
+                           and is_apn_equation(ctx, c)):
+            raise AssertionError(f"hit {c} failed independent re-verification")
     counters = {
         "universe": n ** 5,
         "tested": sum(tested),
         "skipped_by_filter": sum(skipped),
         "apn": len(hits),
-        "permutations": sum(is_permutation(ctx, c) for c in hits),
+        "permutations": permutations,
     }
     manifest = {
         "field": str(job.field),

@@ -188,7 +188,9 @@ def _cd_cubic(c: Coeffs) -> list[int]:
     return [1, c.C, c.D, c.A]
 
 
-def _match(ctx: FieldCtx, c: Coeffs, s: _Shared) -> list[int]:
+def _match(ctx: FieldCtx, c: Coeffs, s: _Shared, cd=None, c7=None, p12=None) -> list[int]:
+    """The matched case IDs. cd and c7 are the root scans of _cd_cubic and
+    case7_cubic and p12 is p1_p2_values, when the caller has them already."""
     mul = ctx.mul
     A, B, C, D, E = c
     q = ctx.q
@@ -205,7 +207,7 @@ def _match(ctx: FieldCtx, c: Coeffs, s: _Shared) -> list[int]:
         if s.sig == 0 and ctx.pow(s.acd, q - 1) == ctx.pow(s.adc, 2 * (q - 1)):
             matched.append(3)
         if s.sig != 0 and s.adc != 0:
-            p1, p2 = p1_p2_values(ctx, c)
+            p1, p2 = p12 or p1_p2_values(ctx, c)
             if mul(p1, p2) == 0:
                 matched.append(4)
 
@@ -218,7 +220,7 @@ def _match(ctx: FieldCtx, c: Coeffs, s: _Shared) -> list[int]:
             matched.append(6)
 
     if s.h1 == 0 and s.bcd == 0 and s.ab == 0 and be != 0:
-        has_root, _ = cubic_predicates(ctx, case7_cubic(ctx, c))
+        has_root, _ = c7 or cubic_predicates(ctx, case7_cubic(ctx, c))
         if not has_root:
             matched.append(7)
 
@@ -237,12 +239,12 @@ def _match(ctx: FieldCtx, c: Coeffs, s: _Shared) -> list[int]:
         matched.append(9)
 
     if s.adc == 0 and s.nA == 1 and s.ae == 0 and s.ab != 0 and D != 0 and s.nD != 1:
-        has_root, _ = cubic_predicates(ctx, _cd_cubic(c))
+        has_root, _ = cd or cubic_predicates(ctx, _cd_cubic(c))
         if not has_root:
             matched.append(10)
 
     if s.adc == 0 and s.nA == 1 and B != 0 and s.ae != 0 and s.ab == 0:
-        has_root, _ = cubic_predicates(ctx, _cd_cubic(c))
+        has_root, _ = cd or cubic_predicates(ctx, _cd_cubic(c))
         if not has_root:
             matched.append(11)
 
@@ -345,23 +347,18 @@ def analyze(ctx: FieldCtx, c: Coeffs) -> TheoryReport:
     """Full predicate evaluation for one tuple."""
     s = _evaluate(ctx, c)
     p1, p2 = p1_p2_values(ctx, c)
-
+    b0 = c.B == 0 and s.acd == 0
+    c7_branch = s.h1 == 0 and s.bcd == 0 and c.B != 0
+    # each cubic is scanned once, here, and _match reads the same scans
+    cd = cubic_predicates(ctx, _cd_cubic(c)) if b0 or s.adc == 0 else None
+    c7 = cubic_predicates(ctx, case7_cubic(ctx, c)) if c7_branch else None
     cubic_flags: dict[str, bool | None] = {
-        "b0-part2-unit-norm-root": None,
-        "c7-degenerate-has-root": None,
-        "c6-fails-has-root": None,
+        "b0-part2-unit-norm-root": cd[1] if b0 else None,
+        "c7-degenerate-has-root": c7[0] if c7_branch else None,
+        "c6-fails-has-root": cd[0] if s.adc == 0 else None,
     }
-    if c.B == 0 and s.acd == 0:
-        _, unit = cubic_predicates(ctx, _cd_cubic(c))
-        cubic_flags["b0-part2-unit-norm-root"] = unit
-    if s.h1 == 0 and s.bcd == 0 and c.B != 0:
-        has_root, _ = cubic_predicates(ctx, case7_cubic(ctx, c))
-        cubic_flags["c7-degenerate-has-root"] = has_root
-    if s.adc == 0:
-        has_root, _ = cubic_predicates(ctx, _cd_cubic(c))
-        cubic_flags["c6-fails-has-root"] = has_root
 
-    matched = tuple(_match(ctx, c, s))
+    matched = tuple(_match(ctx, c, s, cd, c7, (p1, p2)))
     return TheoryReport(
         c1=s.c1,
         c2=s.c2,

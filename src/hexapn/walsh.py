@@ -22,29 +22,22 @@ def _wht_rows(signs: np.ndarray) -> np.ndarray:
     n = out.shape[-1]
     h = 1
     while h < n:
-        for start in range(0, n, 2 * h):
-            x = out[..., start:start + h].copy()
-            y = out[..., start + h:start + 2 * h].copy()
-            out[..., start:start + h] = x + y
-            out[..., start + h:start + 2 * h] = x - y
+        pairs = out.reshape(*out.shape[:-1], n // (2 * h), 2, h)  # a view of out
+        x = pairs[..., 0, :].copy()
+        pairs[..., 0, :] += pairs[..., 1, :]
+        pairs[..., 1, :] = x - pairs[..., 1, :]
         h *= 2
     return out
 
 
-def walsh_table(ctx: FieldCtx, table: list[int] | np.ndarray) -> np.ndarray:
-    """|W| values, shape (N-1, N): rows b = 1..N-1, columns over the dual index."""
-    n = ctx.size
-    mul = ctx.np_mul
-    tr = ctx.np_trace2
-    f = np.asarray(table, dtype=np.uint16)
-    bs = np.arange(1, n, dtype=np.intp)
-    bits = tr[mul[bs[:, None], f[None, :].astype(np.intp)]]
-    signs = 1 - 2 * bits.astype(np.int32)
-    return _wht_rows(signs)
-
-
 def extended_walsh_spectrum_table(ctx: FieldCtx, table) -> Spectrum:
-    """Spectrum over all a and b != 0 for an arbitrary function table."""
-    w = walsh_table(ctx, table)
+    """Spectrum over all a and b != 0 for an arbitrary function table.
+
+    Row b - 1 of the transform holds W(., b), b = 1..N-1, over the dual index.
+    """
+    f = np.asarray(table, dtype=np.intp)
+    bs = np.arange(1, ctx.size, dtype=np.intp)
+    bits = ctx.np_trace2[ctx.np_mul[bs[:, None], f[None, :]]]
+    w = _wht_rows(1 - 2 * bits.astype(np.int32))
     vals, counts = np.unique(np.abs(w), return_counts=True)
     return tuple((int(v), int(k)) for v, k in zip(vals, counts))

@@ -1,9 +1,16 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
 from hexapn import search
-from hexapn.cli import main
+from hexapn.cli import TABLE_REPRESENTATIVES, _report, main
+from hexapn.diffanalysis import BatchTables, apn_mask_batch, differential_profile, is_permutation
+from hexapn.field import NAMED_SPECS, make_field
+from hexapn.hexanomial import Coeffs
+from hexapn.invariants import fingerprint
+from hexapn.theory import analyze
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +124,18 @@ def test_exit_codes(capsys, tmp_path):
         assert err.startswith("error: bad field spec") and err.count("\n") == 1, cmd
 
 
+@pytest.mark.parametrize("cmd", ["verify", "theory", "repro-appendix"])
+def test_force_gate_only_where_read(capsys, tmp_path, cmd):
+    # only invariants and sympoly read --force-gate; elsewhere it is a usage error
+    argv = [cmd, "--force-gate", "--out", str(tmp_path)]
+    if cmd != "repro-appendix":
+        argv += ["--field", "F4", "--tuple", "a,0,0,0,a"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--force-gate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("--mode", "exhaustive", "--shards", "0"),
     ("--mode", "random", "--seed", "1", "--samples", "-5"),
@@ -214,3 +233,36 @@ def test_representatives_csv_flags(capsys, tmp_path):
     assert all(p == "False" for _, _, p in flags)
     apn_by_row = [a == "True" for _, a, _ in flags]
     assert apn_by_row == [True, True, True, True, True, True, False]
+
+
+def _sampled_tuples(ctx, rng, count, hits):
+    """count random tuples and `hits` APN ones found among random draws."""
+    n = ctx.size
+    arr = np.array([[rng.randrange(n) for _ in range(5)] for _ in range(40000)],
+                   dtype=np.uint16)
+    apn = arr[apn_mask_batch(BatchTables(ctx), *arr.T)]
+    return [Coeffs(*map(int, t)) for t in (*arr[:count], *apn[:hits])]
+
+
+def test_report_matches_separate_calls():
+    # the one-table report behind hit records and representative rows equals
+    # the separate calls it replaces
+    rng = random.Random(21)
+    f4 = make_field(NAMED_SPECS["F4"])
+    job = search.SearchJob(f4.spec, "exhaustive")
+    inputs = [(f4, c) for c in search.run_exhaustive(job, verify=False).apn_hits]
+    assert len(inputs) == 390
+    for name, count, hits in (("F16", 30, 30), ("F64", 4, 6)):
+        ctx = make_field(NAMED_SPECS[name])
+        sample = _sampled_tuples(ctx, rng, count, hits)
+        assert len(sample) == count + hits
+        inputs += [(ctx, c) for c in sample]
+    for fname, texts in TABLE_REPRESENTATIVES:
+        ctx = make_field(NAMED_SPECS[fname])
+        inputs.append((ctx, Coeffs(*(ctx.parse_elem(t) for t in texts))))
+    for ctx, c in inputs:
+        prof, fp, cases = _report(ctx, c)
+        assert prof == differential_profile(ctx, c), c
+        assert prof.is_permutation == is_permutation(ctx, c), c
+        assert fp.hash == fingerprint(ctx, c).hash, c
+        assert tuple(cases) == analyze(ctx, c).matched_cases, c

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ def test_ddt_zero_column(f16):
         for a in range(1, n):
             has = any(f[x ^ a] == f[x] for x in range(n))
             assert (table[a][0] >= 2) == has
+
+
+def test_profile_matches_full_ddt(f4, f16):
+    # the profile's spectrum and uniformity are a Counter over rows 1.. of the DDT
+    rng = random.Random(5)
+    f64 = make_field(NAMED_SPECS["F64"])
+    for ctx, trials in ((f4, 60), (f16, 30), (f64, 6)):
+        for _ in range(trials):
+            c = Coeffs(*(rng.randrange(ctx.size) for _ in range(5)))
+            rows = ddt(ctx, c)[1:]
+            prof = differential_profile(ctx, c)
+            spectrum = Counter(v for row in rows for v in row)
+            assert prof.spectrum == tuple(sorted(spectrum.items())), c
+            assert prof.uniformity == max(max(row) for row in rows), c
 
 
 def test_known_apn_representative(f4):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from hexapn import theory
 from hexapn.field import NAMED_SPECS, make_field
 from hexapn.hexanomial import Coeffs
 from hexapn.diffanalysis import is_apn_ddt
@@ -321,6 +322,40 @@ def test_per_tuple_theory_output_pinned(f4, f16):
     assert cases == set(range(1, 12))  # every case and every verdict reason
     assert len(reasons) == 12
     assert digest.hexdigest() == THEORY_DIGEST
+
+
+def test_analyze_scans_each_cubic_once(f4, f16, monkeypatch):
+    # analyze's cubic flags and _match's cases 7, 10 and 11 share one root
+    # scan of each cubic, and p1, p2 are computed once
+    scans, p12 = [], []
+
+    def scan(ctx, coefs):
+        scans.append(coefs)
+        return cubic_predicates(ctx, coefs)
+
+    def p1_p2(ctx, c):
+        p12.append(c)
+        return p1_p2_values(ctx, c)
+
+    monkeypatch.setattr(theory, "cubic_predicates", scan)
+    monkeypatch.setattr(theory, "p1_p2_values", p1_p2)
+    rng = random.Random(18)
+    tuples = [(f4, Coeffs(*t)) for t in itertools.product(range(4), repeat=5)]
+    tuples += [(f16, c) for c in shaped_tuples(f16, rng, 1500)]
+    seen = set()
+    for ctx, c in tuples:
+        scans.clear()
+        p12.clear()
+        rep = analyze(ctx, c)
+        flags = rep.cubic_flags
+        b0, c7, c6 = (flags[k] is not None for k in (
+            "b0-part2-unit-norm-root", "c7-degenerate-has-root", "c6-fails-has-root"))
+        assert len(scans) == (b0 or c6) + c7, c
+        assert len(p12) == 1, c
+        if b0 and c6:
+            seen.add("b0+c6")
+        seen.update(i for i in rep.matched_cases if i in (7, 10, 11))
+    assert {"b0+c6", 7, 10, 11} <= seen  # every path that shares a scan ran
 
 
 def test_shared_pass_scalar_matches_array():

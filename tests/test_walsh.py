@@ -54,7 +54,8 @@ def test_parseval_exact(f16):
 
 def test_fast_spectrum_matches_direct(f4, f16):
     rng = random.Random(2)
-    for ctx, trials in ((f4, 30), (f16, 6)):
+    f64 = make_field(NAMED_SPECS["F64"])
+    for ctx, trials in ((f4, 30), (f16, 6), (f64, 2)):
         for _ in range(trials):
             c = Coeffs(*(rng.randrange(ctx.size) for _ in range(5)))
             assert fast_spectrum(ctx, c) == direct_spectrum(ctx, c), c
