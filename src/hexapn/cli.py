@@ -128,10 +128,7 @@ def cmd_search(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
-    try:
-        res = run_search(job)
-    except SearchGateError as exc:
-        raise CliError(str(exc), EXIT_GATE) from None
+    res = run_search(job)
     out = _out_dir(args)
     stem = f"search_{args.field.lower()}_{args.mode}"
     manifest = {**res.manifest, "counters": res.counters}
@@ -201,12 +198,9 @@ def cmd_invariants(args) -> int:
     ctx = _ctx(args)
     if args.hits:
         tuples = _read_hits(ctx, args.hits)
-        try:
-            groups = partition_by_fingerprint(
-                ctx, tuples, with_ranks=args.ranks, force=args.force_gate
-            )
-        except RankGateError as exc:
-            raise CliError(str(exc), EXIT_GATE) from None
+        groups = partition_by_fingerprint(
+            ctx, tuples, with_ranks=args.ranks, force=args.force_gate
+        )
         csv_text = partition_csv(groups, ctx)
         if args.out:
             path = _out_dir(args) / "partition.csv"
@@ -215,10 +209,7 @@ def cmd_invariants(args) -> int:
         print(csv_text, end="")
         return 0
     c = _tuple(ctx, args.tuple)
-    try:
-        fp = fingerprint(ctx, c, with_ranks=args.ranks, force=args.force_gate)
-    except RankGateError as exc:
-        raise CliError(str(exc), EXIT_GATE) from None
+    fp = fingerprint(ctx, c, with_ranks=args.ranks, force=args.force_gate)
     print(json.dumps(fp.to_json(), indent=2, sort_keys=True))
     return 0
 
@@ -240,12 +231,9 @@ def cmd_sympoly(args) -> int:
         print(f"# {name}")
         print(poly.dump() or "(zero)")
     if args.scan:
-        try:
-            count, samples = rational_point_scan(
-                ctx, [vs.F1, vs.F2], force=args.force_gate
-            )
-        except ScanGateError as exc:
-            raise CliError(str(exc), EXIT_GATE) from None
+        count, samples = rational_point_scan(
+            ctx, [vs.F1, vs.F2], force=args.force_gate
+        )
         print(f"# off-plane phi-fixed points of (F1, F2): {count}")
         for pt in samples:
             print("#   " + " ".join(ctx.format_elem(v) for v in pt))

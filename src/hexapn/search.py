@@ -30,16 +30,26 @@ import numpy as np
 
 from . import __version__
 from .field import FieldCtx, FieldSpec, make_field
-from .hexanomial import Coeffs, function_table
+from .hexanomial import Coeffs
 from .diffanalysis import (
     BatchTables,
     apn_mask_batch,
-    differential_profile_table,
+    function_tables_batch,
     is_apn_ddt,
     is_apn_equation,
 )
 from .rng import Stream64
-from .theory import _evaluate, _match, _verdict
+from .theory import (
+    _APN,
+    _CANDIDATE,
+    _ArrayField,
+    _evaluate,
+    _match,
+    _match_array,
+    _take,
+    _verdict,
+    _verdict_array,
+)
 
 EXHAUSTIVE_GATE_BITS = 30  # (q^2)^5 <= 2^30, i.e. q <= 8
 
@@ -175,6 +185,32 @@ def passes_filters(ctx: FieldCtx, c: Coeffs, filters: SearchFilters) -> bool:
     return True
 
 
+def _theory_keep(actx: _ArrayField, c: Coeffs, filters: SearchFilters) -> np.ndarray:
+    """passes_filters' prioritized and cases= clauses on 1-D coefficient arrays."""
+    s = _evaluate(actx, c)
+    m = _match_array(actx, c, s)
+    keep = np.ones(m.shape[1], dtype=bool)
+    if filters.cases:
+        keep = m[[i - 1 for i in sorted(filters.cases) if 1 <= i <= 11]].any(axis=0)
+    if filters.prioritized:
+        kind, _ = _verdict_array(c, s, m)
+        keep &= (kind == _APN) | (kind == _CANDIDATE)
+    return keep
+
+
+def _count_permutations(ctx: FieldCtx, hits: list[Coeffs]) -> int:
+    """Hits whose function table has N distinct entries, from sorted rows of
+    function_tables_batch in chunks of at most 2^16 entries."""
+    bt = BatchTables(ctx)
+    step = max(1, (1 << 16) // ctx.size)
+    count = 0
+    for lo in range(0, len(hits), step):
+        cols = np.array(hits[lo:lo + step], dtype=np.uint16).T
+        f = np.sort(function_tables_batch(bt, *cols), axis=1)
+        count += int(np.count_nonzero((f[:, 1:] != f[:, :-1]).all(axis=1)))
+    return count
+
+
 def _run(job: SearchJob, worker, total: int, verify: bool) -> SearchResult:
     """Map worker over the shards, then merge, re-verify and count.
 
@@ -195,19 +231,16 @@ def _run(job: SearchJob, worker, total: int, verify: bool) -> SearchResult:
     hit_lists, tested, skipped = zip(*parts)
     n = ctx.size
     hits = [index_tuple(i, n) for i in sorted(set().union(*hit_lists))]
-    permutations = 0
-    for c in hits:
-        table = function_table(ctx, c)
-        permutations += len(set(table)) == n
-        if verify and not (differential_profile_table(ctx, table).is_apn
-                           and is_apn_equation(ctx, c)):
-            raise AssertionError(f"hit {c} failed independent re-verification")
+    if verify:
+        for c in hits:
+            if not (is_apn_ddt(ctx, c, early_abort=False) and is_apn_equation(ctx, c)):
+                raise AssertionError(f"hit {c} failed independent re-verification")
     counters = {
         "universe": n ** 5,
         "tested": sum(tested),
         "skipped_by_filter": sum(skipped),
         "apn": len(hits),
-        "permutations": permutations,
+        "permutations": _count_permutations(ctx, hits),
     }
     manifest = {
         "field": str(job.field),
@@ -222,14 +255,6 @@ def _run(job: SearchJob, worker, total: int, verify: bool) -> SearchResult:
 
 
 # -- exhaustive ----------------------------------------------------------------
-
-
-class _ArrayField:
-    """ctx.mul and ctx.frob_q on numpy index arrays, for the theory predicates."""
-
-    def __init__(self, ctx: FieldCtx):
-        self.mul = lambda a, b: ctx.np_mul[a, b]
-        self.frob_q = ctx.np_frob.__getitem__
 
 
 def _sweep_blocks(ctx: FieldCtx, lo: int, hi: int, filters: SearchFilters):
@@ -253,18 +278,17 @@ def _sweep_blocks(ctx: FieldCtx, lo: int, hi: int, filters: SearchFilters):
         s = _evaluate(actx, Coeffs(A, B, C, d_col, e_row)) if closed else None
         drop = _closed_form_drop(s, A, filters)
         idx = np.flatnonzero(~np.broadcast_to(drop, (n, n)))
+        c = Coeffs(*(np.full(idx.shape, z, dtype=np.uint16) for z in (A, B, C)),
+                   ds[idx], es[idx])
         if rescan:
-            keep = [passes_filters(ctx, Coeffs(A, B, C, int(ds[i]), int(es[i])), filters)
-                    for i in idx]
-            idx = idx[np.array(keep, dtype=bool)]
+            keep = _theory_keep(actx, c, filters)
+            idx = idx[keep]
+            c = _take(c, keep)
         skipped += n * n - idx.size
         tested += idx.size
         if idx.size == 0:
             continue
-        av = np.full(idx.shape, A, dtype=np.uint16)
-        bv = np.full(idx.shape, B, dtype=np.uint16)
-        cv = np.full(idx.shape, C, dtype=np.uint16)
-        apn = apn_mask_batch(bt, av, bv, cv, ds[idx], es[idx])
+        apn = apn_mask_batch(bt, *c)
         base = blk * n * n
         hits.extend(base + int(i) for i in idx[apn])
     return hits, tested, skipped

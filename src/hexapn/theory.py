@@ -22,15 +22,27 @@ propositions and evaluated both ways where relevant:
     q = 1 (mod 3) is tabulated separately by `reconcile`.
 
 `_evaluate` has no branches, so it (and its three views) also accepts
-coefficients given as numpy arrays that broadcast against each other, with a
-context whose mul and frob_q index numpy tables; the exhaustive search
-builds its filter masks this way.
+coefficients given as numpy arrays that broadcast against each other, with
+an `_ArrayField` context whose operations index numpy tables; the
+exhaustive search builds its closed-form filter masks this way.
+
+The case clauses and the verdict have an array form too: `_match_array` and
+`_verdict_array` take 1-D coefficient arrays and the pass over them, and
+compute p1/p2 and the two cubic root scans only on the index subset of
+their branch. `reconcile` evaluates its batch in chunks this way, and the
+exhaustive sweep applies `prioritized` and `cases=` with them. The scalar
+`_match` and `_verdict` serve single tuples (`predict_verdict`, `analyze`,
+`passes_filters` in random mode) and are the oracle the array form is
+tested against.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain, islice
+
+import numpy as np
 
 from .field import FieldCtx
 from .hexanomial import Coeffs
@@ -40,6 +52,43 @@ from .hexanomial import Coeffs
 #: h1, the brackets ab = AB^q + B, ae = AE^q + E, acd = AC^q + D,
 #: adc = AD^q + C and bcd = BC^q + B^qD, sig = nA + nC + nD + 1, and C1, C2, C6.
 _Shared = namedtuple("_Shared", "Bq Eq nA nC nD h1 ab ae acd adc bcd sig c1 c2 c6")
+
+
+class _ArrayField:
+    """The FieldCtx operations the theory reads, on numpy index arrays.
+
+    mul and frob_q index the context's numpy tables; pow, inv, sqrt and
+    norm_rel index lookup tables (pow builds one per exponent on first use).
+    inv(0) reads 0 here, so callers mask out zero arguments themselves.
+    With q, trace_rel and in_subfield (true when every entry lies in GF(q)),
+    p1_p2_values runs on arrays too. zs holds every field element.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        n = ctx.size
+        zs = np.arange(n, dtype=np.uint16)
+        self.ctx = ctx
+        self.q = ctx.q
+        self.mul = lambda a, b: ctx.np_mul[a, b]
+        self.frob_q = ctx.np_frob.__getitem__
+        self.inv = np.array([0] + [ctx.inv(z) for z in range(1, n)], dtype=np.uint16).__getitem__
+        self.sqrt = np.array(ctx.sqrt_table, dtype=np.uint16).__getitem__
+        self.norm_rel = ctx.np_mul[zs, ctx.np_frob].__getitem__
+        self.zs = zs
+        self._pow: dict[int, np.ndarray] = {}
+
+    def pow(self, z, e: int):
+        t = self._pow.get(e)
+        if t is None:
+            t = self._pow[e] = np.array([self.ctx.pow(v, e) for v in range(self.ctx.size)],
+                                        dtype=np.uint16)
+        return t[z]
+
+    def trace_rel(self, z):
+        return z ^ self.frob_q(z)
+
+    def in_subfield(self, z) -> bool:
+        return bool((self.frob_q(z) == z).all())
 
 
 def _evaluate(ctx: FieldCtx, c: Coeffs) -> _Shared:
@@ -163,7 +212,8 @@ CASE9_CONGRUENCE = 2
 
 
 def _case9(c: Coeffs, s: _Shared) -> bool:
-    return c.C == 0 and c.D == 0 and c.A != 1 and s.nA == 1 and s.ae == 0 and s.ab != 0
+    """Branch-free, like _evaluate: on ints and on arrays."""
+    return (c.C == 0) & (c.D == 0) & (c.A != 1) & (s.nA == 1) & (s.ae == 0) & (s.ab != 0)
 
 
 def case9_shape(ctx: FieldCtx, c: Coeffs) -> bool:
@@ -256,6 +306,65 @@ def match_summary_cases(ctx: FieldCtx, c: Coeffs) -> list[int]:
     return _match(ctx, c, _evaluate(ctx, c))
 
 
+def _take(c: Coeffs, idx) -> Coeffs:
+    return Coeffs(*(v[idx] for v in c))
+
+
+def _has_root_array(actx: _ArrayField, coefs) -> np.ndarray:
+    """Root flags of c3 T^3 + c2 T^2 + c1 T + c0 for coefficient arrays: one
+    (tuples x N) evaluation at every T."""
+    mul, t = actx.mul, actx.zs
+    t2 = mul(t, t)
+    c3, c2, c1, c0 = (v[:, None] if np.ndim(v) else v for v in coefs)
+    val = mul(c3, mul(t2, t)) ^ mul(c2, t2) ^ mul(c1, t) ^ c0
+    return (val == 0).any(axis=1)
+
+
+def _match_array(actx: _ArrayField, c: Coeffs, s: _Shared) -> np.ndarray:
+    """_match on 1-D coefficient arrays: row i - 1 is the mask of case i.
+
+    The clauses transcribe _match's, which is the oracle tests hold this
+    against. p1/p2 and the two cubic root scans run only on the index subset
+    of their branch.
+    """
+    mul, q = actx.mul, actx.q
+    A, B, C, D, E = c
+    be = mul(B, s.Eq) ^ mul(s.Bq, E)  # BE^q + B^q E
+    m = np.zeros((11, A.size), dtype=bool)
+
+    m[0] = s.c1 & (s.nA != 1)
+    m[1] = (B == 0) & (s.acd == 0) & (s.ae != 0) & (mul(s.nA ^ 1, s.nC ^ 1) == 0)
+
+    b0e0 = (B == 0) & (E == 0) & (s.acd != 0)
+    m[2] = b0e0 & (s.sig == 0) & (actx.pow(s.acd, q - 1) == actx.pow(s.adc, 2 * (q - 1)))
+    i4 = np.flatnonzero(b0e0 & (s.sig != 0) & (s.adc != 0))
+    p1, p2 = p1_p2_values(actx, _take(c, i4))
+    m[3, i4] = mul(p1, p2) == 0
+
+    gcd = (s.h1 == 0) & (s.bcd != 0)
+    m[4] = gcd & (s.adc == s.ab) & (s.ab != 0) & (actx.norm_rel(B ^ D) == 1)
+    m[5] = gcd & (E == 0)
+
+    i7 = np.flatnonzero((s.h1 == 0) & (s.bcd == 0) & (s.ab == 0) & (be != 0))
+    m[6, i7] = ~_has_root_array(actx, case7_cubic(actx, _take(c, i7)))
+
+    m[7] = (
+        (s.adc == 0) & (s.ab != 0) & (s.ae != 0) & (s.nD == 1) & (s.nA != 1) & (be == 0)
+        & (mul(s.ae, actx.inv(actx.frob_q(s.ae))) == mul(D, actx.sqrt(D)))
+    )
+
+    if q % 3 == CASE9_CONGRUENCE:
+        m[8] = _case9(c, s)
+
+    r10 = (s.adc == 0) & (s.nA == 1) & (s.ae == 0) & (s.ab != 0) & (D != 0) & (s.nD != 1)
+    r11 = (s.adc == 0) & (s.nA == 1) & (B != 0) & (s.ae != 0) & (s.ab == 0)
+    icd = np.flatnonzero(r10 | r11)
+    no_root = ~_has_root_array(actx, _cd_cubic(_take(c, icd)))
+    m[9, icd] = r10[icd] & no_root
+    m[10, icd] = r11[icd] & no_root
+    return m
+
+
 # -- verdicts -------------------------------------------------------------------
 
 
@@ -339,6 +448,41 @@ def _verdict(ctx: FieldCtx, c: Coeffs, s: _Shared, matched: tuple[int, ...] | No
     return Verdict("excluded", (), reason)
 
 
+#: _verdict's reasons in the order it decides them, and its kinds; the
+#: array form codes each verdict as (kind, reason) indices into these.
+_REASONS = (
+    "condition-C1", "condition-C2", "c6-fails-iff", "c6-fails-iff-complement",
+    "necessary-conditions", "generic-obstruction", "c6-fails-no-case",
+    "gcd-regime-no-case", "c7-degenerate-no-case", "b0-collapsed-branch",
+    "b0-nonzero-e", "b0-trace-branch",
+)
+_KINDS = ("excluded", "candidate", "apn", "not-apn")
+_EXCLUDED, _CANDIDATE, _APN, _NOT_APN = range(4)
+_C1, _IFF, _NECESSARY = 0, 2, 4
+
+
+def _verdict_array(c: Coeffs, s: _Shared, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_verdict on 1-D coefficient arrays, from _match_array's masks m, as
+    (kind, reason) codes. The verdict's cases are m's for 'candidate' and
+    'c6-fails-iff-complement', m's cases 9 and 10 for 'c6-fails-iff',
+    (1,) for an 'apn' C1 verdict and () otherwise."""
+    bn = c.B != 0
+    iff = ~s.c6 & (s.ab != 0) & (s.ae == 0)
+    obstructed = bn & (s.h1 != 0)
+    reason = np.select(
+        [s.c1, s.c2, iff & (m[8] | m[9]), iff, m.any(axis=0),
+         obstructed & s.c6, obstructed, bn & (s.bcd != 0), bn, s.acd == 0, c.E != 0],
+        range(11),
+        len(_REASONS) - 1,
+    )
+    kind = np.select(
+        [s.c1 & (s.nA != 1), s.c1 | s.c2, reason == _IFF, reason == _NECESSARY],
+        [_APN, _NOT_APN, _APN, _CANDIDATE],
+        _EXCLUDED,
+    )
+    return kind, reason
+
+
 def predict_verdict(ctx: FieldCtx, c: Coeffs) -> Verdict:
     return _verdict(ctx, c, _evaluate(ctx, c))
 
@@ -405,58 +549,64 @@ class ReconcileReport:
         }
 
 
+#: Tuples reconcile stacks into one set of coefficient arrays.
+_RECONCILE_CHUNK = 4096
+
+
 def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
     """Compare theory verdicts with empirical APN flags.
 
-    batch: iterable of (Coeffs, bool). Also tabulates the case-9 regime under
-    both congruence readings and states which one the data supports.
+    batch: iterable of (Coeffs, bool), consumed in chunks that are evaluated
+    in array form. Also tabulates the case-9 regime under both congruence
+    readings and states which one the data supports.
     """
+    actx = _ArrayField(ctx)
     rep = ReconcileReport()
     regime = {"size": 0, "apn": 0, "prop-reading-matches": 0, "summary-reading-matches": 0}
+    exceptions = np.zeros(len(_REASONS), dtype=np.int64)
+    prop_says = ctx.q % 3 == CASE9_CONGRUENCE
+    summary_says = ctx.q % 3 == 1
     prop_consistent = True
     summary_consistent = True
 
-    for c, empirical in batch:
-        rep.total += 1
-        if empirical:
-            rep.apn_total += 1
-        s = _evaluate(ctx, c)
-        v = _verdict(ctx, c, s)
-        if v.kind == "apn" and empirical:
-            rep.confirmations += 1
-        elif v.kind == "candidate" and empirical:
-            rep.confirmations += 1
-        elif v.kind == "excluded" and empirical:
-            rep.exceptions_by_reason[v.reason] = rep.exceptions_by_reason.get(v.reason, 0) + 1
-        if v.kind == "not-apn" and empirical:
-            if v.reason == "condition-C1":
-                rep.contradictions_c1 += 1
-            else:
-                rep.contradictions_c2 += 1
-        if v.kind == "apn" and not empirical:
-            if v.cases == (1,):
-                rep.contradictions_c1 += 1
-            if 9 in v.cases:
-                rep.contradictions_case9 += 1
-            if 10 in v.cases:
-                rep.contradictions_case10 += 1
+    def count(mask) -> int:
+        return int(np.count_nonzero(mask))
+
+    it = iter(batch)
+    while chunk := list(islice(it, _RECONCILE_CHUNK)):
+        tuples, flags = zip(*chunk)
+        k = len(flags)
+        c = Coeffs(*np.fromiter(chain.from_iterable(tuples), np.uint16, 5 * k).reshape(k, 5).T)
+        emp = np.fromiter(flags, bool, k)
+        s = _evaluate(actx, c)
+        m = _match_array(actx, c, s)
+        kind, reason = _verdict_array(c, s, m)
+        rep.total += emp.size
+        rep.apn_total += count(emp)
+        rep.confirmations += count(emp & ((kind == _APN) | (kind == _CANDIDATE)))
+        exceptions += np.bincount(reason[emp & (kind == _EXCLUDED)], minlength=len(_REASONS))
+        c1 = reason == _C1
+        not_apn = emp & (kind == _NOT_APN)
+        false_apn = ~emp & (kind == _APN)
+        rep.contradictions_c1 += count((not_apn | false_apn) & c1)
+        rep.contradictions_c2 += count(not_apn & ~c1)
+        # an 'apn' verdict cites case 1 (C1, where AB^q + B = 0) or those of
+        # cases 9 and 10 that match (both need AB^q + B != 0)
+        rep.contradictions_case9 += count(false_apn & m[8])
+        rep.contradictions_case10 += count(false_apn & m[9])
 
         # case-9 regime tabulation under the two congruence readings
-        if _case9(c, s):
-            regime["size"] += 1
-            if empirical:
-                regime["apn"] += 1
-            prop_says = ctx.q % 3 == CASE9_CONGRUENCE
-            summary_says = ctx.q % 3 == 1
-            if prop_says == empirical:
-                regime["prop-reading-matches"] += 1
-            else:
-                prop_consistent = False
-            if summary_says == empirical:
-                regime["summary-reading-matches"] += 1
-            else:
-                summary_consistent = False
+        r9 = _case9(c, s)
+        regime["size"] += count(r9)
+        regime["apn"] += count(r9 & emp)
+        prop = count(r9 & (emp == prop_says))
+        summary = count(r9 & (emp == summary_says))
+        regime["prop-reading-matches"] += prop
+        regime["summary-reading-matches"] += summary
+        prop_consistent &= prop == count(r9)
+        summary_consistent &= summary == count(r9)
 
+    rep.exceptions_by_reason = {r: int(k) for r, k in zip(_REASONS, exceptions) if k}
     rep.case9_regime = regime
     if regime["size"] == 0:
         rep.congruence_resolution = "no case-9-shaped tuples in batch"

@@ -24,6 +24,8 @@ that shares no code with the toolkit's own computation of it:
 - `lowest_part_resultant_check`: Res_Z0 of the lowest homogeneous parts of
   g1 and g2 by `resultant_z0`, against the closed form (A^q B + B^q)^2 h1 Z1^3
   that the theory's h1 predicts.
+- `reconcile_scalar`: `theory.reconcile` as a loop of scalar `_verdict`
+  calls, one tuple at a time, in place of its chunked array form.
 
 `resultant_z0` is a Sylvester determinant over GF(q^2)[Z1], expanded by
 cofactors (n! terms; fine for the small matrices used here).
@@ -34,7 +36,7 @@ from __future__ import annotations
 from hexapn.field import FieldCtx
 from hexapn.hexanomial import Coeffs, function_table
 from hexapn.sympoly import X0, Z0, Z1, MPoly, g1_g2_displays, g_display
-from hexapn.theory import h1_value
+from hexapn.theory import CASE9_CONGRUENCE, ReconcileReport, _case9, _evaluate, _verdict, h1_value
 
 
 def f4_closed_form_apn(c: Coeffs) -> bool:
@@ -285,3 +287,64 @@ def lowest_part_resultant_check(ctx: FieldCtx, c: Coeffs):
     scale = ctx.mul(ctx.mul(e1, e1), h1_value(ctx, c))
     expected = MPoly(ctx, {(0, 0, 0, 3): scale} if scale else {})
     return g1l, g2l, g3l, res, res == expected
+
+
+def reconcile_scalar(ctx: FieldCtx, batch) -> ReconcileReport:
+    """theory.reconcile, one scalar verdict per tuple."""
+    rep = ReconcileReport()
+    regime = {"size": 0, "apn": 0, "prop-reading-matches": 0, "summary-reading-matches": 0}
+    prop_consistent = True
+    summary_consistent = True
+
+    for c, empirical in batch:
+        rep.total += 1
+        if empirical:
+            rep.apn_total += 1
+        s = _evaluate(ctx, c)
+        v = _verdict(ctx, c, s)
+        if v.kind == "apn" and empirical:
+            rep.confirmations += 1
+        elif v.kind == "candidate" and empirical:
+            rep.confirmations += 1
+        elif v.kind == "excluded" and empirical:
+            rep.exceptions_by_reason[v.reason] = rep.exceptions_by_reason.get(v.reason, 0) + 1
+        if v.kind == "not-apn" and empirical:
+            if v.reason == "condition-C1":
+                rep.contradictions_c1 += 1
+            else:
+                rep.contradictions_c2 += 1
+        if v.kind == "apn" and not empirical:
+            if v.cases == (1,):
+                rep.contradictions_c1 += 1
+            if 9 in v.cases:
+                rep.contradictions_case9 += 1
+            if 10 in v.cases:
+                rep.contradictions_case10 += 1
+
+        if _case9(c, s):
+            regime["size"] += 1
+            if empirical:
+                regime["apn"] += 1
+            prop_says = ctx.q % 3 == CASE9_CONGRUENCE
+            summary_says = ctx.q % 3 == 1
+            if prop_says == empirical:
+                regime["prop-reading-matches"] += 1
+            else:
+                prop_consistent = False
+            if summary_says == empirical:
+                regime["summary-reading-matches"] += 1
+            else:
+                summary_consistent = False
+
+    rep.case9_regime = regime
+    if regime["size"] == 0:
+        rep.congruence_resolution = "no case-9-shaped tuples in batch"
+    elif prop_consistent and not summary_consistent:
+        rep.congruence_resolution = "data supports q = 2 (mod 3)"
+    elif summary_consistent and not prop_consistent:
+        rep.congruence_resolution = "data supports q = 1 (mod 3)"
+    elif prop_consistent and summary_consistent:
+        rep.congruence_resolution = "both readings consistent on this batch"
+    else:
+        rep.congruence_resolution = "neither reading fully consistent"
+    return rep

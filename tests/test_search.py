@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hexapn.field import NAMED_SPECS, make_field
@@ -12,6 +13,9 @@ from hexapn.search import (
     SearchFilters,
     SearchGateError,
     SearchJob,
+    _ArrayField,
+    _sweep_blocks,
+    _theory_keep,
     index_tuple,
     parse_filters,
     passes_filters,
@@ -131,6 +135,31 @@ def test_exhaustive_obstruction_filter_matches_scalar_oracle_q4():
     kept_set = set(kept)
     assert res.apn_hits == [c for c in unfiltered.apn_hits if tuple_index(c, 16) in kept_set]
     assert res.counters["apn"] == 30116
+
+
+@pytest.mark.parametrize("text", ["prioritized", "cases=5;6", "a-nonzero,prioritized"])
+def test_sweep_theory_filters_match_scalar_oracle_q4(text):
+    # the sweep's array-form verdicts and cases keep exactly the tuples that
+    # scalar passes_filters keeps, tuple by tuple, on F16 blocks with A = 0
+    # and A = 1 (every verdict reason occurs there); the block's hits are its
+    # kept tuples that the scalar DDT test finds APN
+    ctx = make_field(NAMED_SPECS["F16"])
+    actx = _ArrayField(ctx)
+    filters = parse_filters(text)
+    zs = np.arange(16 * 16, dtype=np.uint16)
+    kept_total = 0
+    for blk in range(240, 336):
+        A, B, C = blk // 256, blk // 16 % 16, blk % 16
+        c = Coeffs(*(np.full(zs.shape, z, dtype=np.uint16) for z in (A, B, C)), zs // 16, zs % 16)
+        keep = _theory_keep(actx, c, filters) & ~(filters.require_a_nonzero & (A == 0))
+        kept = [i for i in range(blk * 256, blk * 256 + 256)
+                if passes_filters(ctx, index_tuple(i, 16), filters)]
+        assert [blk * 256 + int(i) for i in np.flatnonzero(keep)] == kept, blk
+        hits, tested, skipped = _sweep_blocks(ctx, blk, blk + 1, filters)
+        assert (tested, skipped) == (len(kept), 256 - len(kept))
+        assert hits == [i for i in kept if is_apn_ddt(ctx, index_tuple(i, 16))]
+        kept_total += len(kept)
+    assert kept_total == {"prioritized": 949, "cases=5;6": 620, "a-nonzero,prioritized": 796}[text]
 
 
 def test_exhaustive_hits_verified():

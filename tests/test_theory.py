@@ -12,7 +12,11 @@ from hexapn.diffanalysis import is_apn_ddt
 from hexapn.search import _ArrayField
 from hexapn.theory import (
     CASE9_CONGRUENCE,
+    _KINDS,
+    _REASONS,
     _evaluate,
+    _match_array,
+    _verdict_array,
     analyze,
     case9_shape,
     cond_C1_C2,
@@ -24,6 +28,7 @@ from hexapn.theory import (
     predict_verdict,
     reconcile,
 )
+from oracles import f4_closed_form_apn, reconcile_scalar
 
 
 @pytest.fixture(scope="module")
@@ -379,3 +384,82 @@ def test_shared_pass_scalar_matches_array():
             for d, e in itertools.product(range(ctx.size), repeat=2):
                 s = _evaluate(ctx, Coeffs(A, B, C, d, e))
                 assert [int(v[d, e]) for v in full] == [int(v) for v in s], (name, A, B, C, d, e)
+
+
+# -- the array form against the scalar oracle -------------------------------------
+
+
+def _array_verdicts(ctx, tuples):
+    """Per tuple (matched cases, (kind, cases, reason)) from _match_array and
+    _verdict_array, evaluated on all tuples at once as coefficient columns."""
+    c = Coeffs(*(np.array(col, dtype=np.uint16) for col in zip(*tuples)))
+    actx = _ArrayField(ctx)
+    s = _evaluate(actx, c)
+    m = _match_array(actx, c, s)
+    kind, reason = _verdict_array(c, s, m)
+    out = []
+    for i in range(len(tuples)):
+        matched = tuple(int(j) + 1 for j in np.flatnonzero(m[:, i]))
+        r = _REASONS[reason[i]]
+        if r == "c6-fails-iff":
+            cases = tuple(j for j in matched if j in (9, 10))
+        elif r in ("necessary-conditions", "c6-fails-iff-complement"):
+            cases = matched
+        elif r == "condition-C1" and _KINDS[kind[i]] == "apn":
+            cases = (1,)
+        else:
+            cases = ()
+        out.append((matched, (_KINDS[kind[i]], cases, r)))
+    return out
+
+
+def test_array_cases_and_verdicts_match_scalar():
+    # every case mask and every verdict of the array form equals scalar
+    # _match/_verdict: all of F4, and shaped samples at F16, F64 and F256
+    rng = random.Random(19)
+    cases, reasons = set(), set()
+    for name, count in (("F4", 0), ("F16", 3000), ("F64", 3000), ("F256", 2000)):
+        ctx = make_field(NAMED_SPECS[name])
+        if name == "F4":
+            tuples = [Coeffs(*t) for t in itertools.product(range(4), repeat=5)]
+        else:
+            tuples = list(shaped_tuples(ctx, rng, count))
+        for c, (matched, verdict) in zip(tuples, _array_verdicts(ctx, tuples)):
+            v = predict_verdict(ctx, c)
+            assert matched == tuple(match_summary_cases(ctx, c)), (name, c)
+            assert verdict == (v.kind, v.cases, v.reason), (name, c)
+            cases.update(matched)
+            reasons.add(v.reason)
+    assert cases == set(range(1, 12))
+    assert reasons == set(_REASONS)
+
+
+def test_reconcile_matches_scalar_reference(f4, f16, monkeypatch):
+    # the chunked array form against a scalar loop over the same batch: the
+    # F4 universe with true APN flags, and seeded random flags on the F4
+    # universe and on shaped F16 and F64 tuples, which make every
+    # contradiction counter and both case-9 readings disagree somewhere
+    f64 = make_field(NAMED_SPECS["F64"])
+    rng = random.Random(20)
+    universe = [Coeffs(*t) for t in itertools.product(range(4), repeat=5)]
+    batches = [(f4, [(c, f4_closed_form_apn(c)) for c in universe])]
+    batches.append((f4, [(c, rng.random() < 0.5) for c in universe]))
+    for ctx in (f16, f64):
+        batches.append((ctx, [(c, rng.random() < 0.5) for c in shaped_tuples(ctx, rng, 6000)]))
+    seen = set()
+    for ctx, batch in batches:
+        want = reconcile_scalar(ctx, batch).to_json()
+        assert reconcile(ctx, iter(batch)).to_json() == want
+        monkeypatch.setattr(theory, "_RECONCILE_CHUNK", 97)
+        assert reconcile(ctx, batch).to_json() == want
+        monkeypatch.undo()
+        seen.update(k for k, v in want["contradictions"].items() if v)
+        seen.update(r for r, v in want["exceptions_by_reason"].items() if v)
+        regime = want["case9_regime"]
+        if regime["prop-reading-matches"] < regime["size"]:
+            seen.add("prop-reading-mismatch")
+        if regime["summary-reading-matches"] < regime["size"]:
+            seen.add("summary-reading-mismatch")
+    excluded = {"c6-fails-iff-complement", *_REASONS[5:]}  # the reasons of 'excluded'
+    assert {"c1", "c2", "case9", "case10",
+            "prop-reading-mismatch", "summary-reading-mismatch", *excluded} <= seen
