@@ -68,15 +68,6 @@ def _delta_rank_table(ctx: FieldCtx, table: list[int], force: bool = False) -> i
     return _incidence_rank(2 * ctx.n, pts)
 
 
-def gamma_delta_rank(ctx: FieldCtx, c: Coeffs, which: str, force: bool = False) -> int:
-    """Gamma: incidence rank of the graph {(x, f(x))}; Delta: of the DDT support."""
-    if which == "gamma":
-        return gamma_rank_table(ctx, function_table(ctx, c), force=force)
-    if which == "delta":
-        return _delta_rank_table(ctx, function_table(ctx, c), force=force)
-    raise ValueError(f"which must be 'gamma' or 'delta', not {which!r}")
-
-
 def _check_gate(n: int, force: bool):
     if n * n > RANK_GATE_ROWS and not force:
         raise RankGateError(

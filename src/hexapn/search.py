@@ -4,8 +4,12 @@ Exhaustive mode sweeps (A, B, C) blocks with a vectorized (D, E) kernel and
 is deterministically shardable: shards split the block range, and results
 are independent of the shard count. Random mode draws tuples from
 counter-mode streams addressed by sample index (see rng), which again makes
-the output independent of sharding. Both modes keep exactly the tuples that
-passes_filters keeps; shards run on at most os.cpu_count() processes.
+the output independent of sharding; each sample keeps its stream's first
+draw that passes the filters. Both modes and passes_filters filter through
+one `_keep`, which runs the theory's clauses on ints or on coefficient
+arrays: the sweep on each block's survivors of its broadcast closed-form
+masks, random mode on groups of draws. Shards run on at most
+os.cpu_count() processes.
 
 Filter presets:
   theory A != 0, drop C1/C2, drop the generic obstruction (C6 with h1 != 0).
@@ -25,6 +29,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 import numpy as np
 
@@ -39,17 +46,7 @@ from .diffanalysis import (
     is_apn_equation,
 )
 from .rng import Stream64
-from .theory import (
-    _APN,
-    _CANDIDATE,
-    _ArrayField,
-    _evaluate,
-    _match,
-    _match_array,
-    _take,
-    _verdict,
-    _verdict_array,
-)
+from .theory import _PROMISING, _ArrayField, _cases, _evaluate, _rule, _take
 
 EXHAUSTIVE_GATE_BITS = 30  # (q^2)^5 <= 2^30, i.e. q <= 8
 
@@ -107,6 +104,9 @@ def parse_filters(text: str) -> SearchFilters:
             f = replace(f, prioritized=True)
         elif tok.startswith("cases="):
             ids = frozenset(int(x) for x in tok[6:].split(";") if x)
+            bad = sorted(ids.difference(range(1, 12)))
+            if bad:
+                raise ValueError(f"summary case IDs run from 1 to 11, not {bad}")
             f = replace(f, cases=ids)
         else:
             raise ValueError(f"unknown filter token {tok!r}")
@@ -171,31 +171,22 @@ def _closed_form_drop(s, A, filters: SearchFilters):
     return drop
 
 
-def passes_filters(ctx: FieldCtx, c: Coeffs, filters: SearchFilters) -> bool:
+def _keep(ctx: FieldCtx, c: Coeffs, filters: SearchFilters):
+    """True where the tuple passes filters: a bool on ints, a mask on 1-D
+    coefficient arrays (ctx an _ArrayField)."""
     s = _evaluate(ctx, c)
-    if _closed_form_drop(s, c.A, filters):
-        return False
-    matched = None
-    if filters.cases:
-        matched = tuple(_match(ctx, c, s))
-        if not filters.cases.intersection(matched):
-            return False
-    if filters.prioritized and _verdict(ctx, c, s, matched).kind in ("excluded", "not-apn"):
-        return False
-    return True
-
-
-def _theory_keep(actx: _ArrayField, c: Coeffs, filters: SearchFilters) -> np.ndarray:
-    """passes_filters' prioritized and cases= clauses on 1-D coefficient arrays."""
-    s = _evaluate(actx, c)
-    m = _match_array(actx, c, s)
-    keep = np.ones(m.shape[1], dtype=bool)
-    if filters.cases:
-        keep = m[[i - 1 for i in sorted(filters.cases) if 1 <= i <= 11]].any(axis=0)
-    if filters.prioritized:
-        kind, _ = _verdict_array(c, s, m)
-        keep &= (kind == _APN) | (kind == _CANDIDATE)
+    keep = np.logical_not(_closed_form_drop(s, c.A, filters))
+    if filters.cases or filters.prioritized:
+        cases = _cases(ctx, c, s)
+        if filters.cases:
+            keep = keep & reduce(or_, (cases[i - 1] for i in filters.cases))
+        if filters.prioritized:
+            keep = keep & _PROMISING[_rule(c, s, cases)]
     return keep
+
+
+def passes_filters(ctx: FieldCtx, c: Coeffs, filters: SearchFilters) -> bool:
+    return bool(_keep(ctx, c, filters))
 
 
 def _count_permutations(ctx: FieldCtx, hits: list[Coeffs]) -> int:
@@ -281,7 +272,7 @@ def _sweep_blocks(ctx: FieldCtx, lo: int, hi: int, filters: SearchFilters):
         c = Coeffs(*(np.full(idx.shape, z, dtype=np.uint16) for z in (A, B, C)),
                    ds[idx], es[idx])
         if rescan:
-            keep = _theory_keep(actx, c, filters)
+            keep = _keep(actx, c, filters)
             idx = idx[keep]
             c = _take(c, keep)
         skipped += n * n - idx.size
@@ -320,34 +311,49 @@ def run_exhaustive(job: SearchJob, verify: bool = True) -> SearchResult:
 # -- random --------------------------------------------------------------------
 
 _MAX_DRAWS_PER_SAMPLE = 1_000_000
-
-
-def _random_sample(ctx: FieldCtx, seed: int, j: int, filters: SearchFilters):
-    """(tuple, rejected_draws) for sample j; deterministic in (seed, j)."""
-    stream = Stream64(seed, j)
-    n5 = ctx.size ** 5
-    rejected = 0
-    for _ in range(_MAX_DRAWS_PER_SAMPLE):
-        c = index_tuple(stream.below(n5), ctx.size)
-        if passes_filters(ctx, c, filters):
-            return c, rejected
-        rejected += 1
-    raise SearchGateError(
-        f"filter region too sparse: {_MAX_DRAWS_PER_SAMPLE} draws rejected "
-        f"for sample {j}"
-    )
+#: Random mode filters the draws of _GROUP_SAMPLES samples, _GROUP_DRAWS
+#: draws each, in one array call; _GROUP_DRAWS divides _MAX_DRAWS_PER_SAMPLE.
+_GROUP_SAMPLES = 16
+_GROUP_DRAWS = 250
 
 
 def _random_worker(args):
+    """Samples [lo, hi) in groups. Sample j keeps the first draw of stream
+    (seed, j) that passes the filters, so the draws it rejected are that
+    draw's index; the kept tuples are APN-tested together."""
     job, lo, hi = args
     ctx = make_field(job.field)
+    actx = _ArrayField(ctx)
+    bt = BatchTables(ctx)
+    n = ctx.size
+    n5 = n ** 5
+    digits = n ** np.arange(4, -1, -1, dtype=np.int64)  # tuple index -> (A, B, C, D, E)
     hits = []
     rejected = 0
-    for j in range(lo, hi):
-        c, rej = _random_sample(ctx, job.seed, j, job.filters)
-        rejected += rej
-        if is_apn_ddt(ctx, c):
-            hits.append(tuple_index(c, ctx.size))
+    for first in range(lo, hi, _GROUP_SAMPLES):
+        streams = {j: Stream64(job.seed, j) for j in range(first, min(first + _GROUP_SAMPLES, hi))}
+        kept = []
+        for drawn in range(0, _MAX_DRAWS_PER_SAMPLE, _GROUP_DRAWS):
+            if not streams:
+                break
+            draws = np.array([[st.below(n5) for _ in range(_GROUP_DRAWS)]
+                              for st in streams.values()], dtype=np.int64)
+            cols = (draws[..., None] // digits % n).astype(np.uint16).reshape(-1, 5).T
+            keep = _keep(actx, Coeffs(*cols), job.filters).reshape(draws.shape)
+            for row, j in enumerate(list(streams)):
+                if keep[row].any():
+                    k = int(keep[row].argmax())
+                    kept.append(draws[row, k])
+                    rejected += drawn + k
+                    del streams[j]
+        if streams:
+            raise SearchGateError(
+                f"filter region too sparse: {_MAX_DRAWS_PER_SAMPLE} draws rejected "
+                f"for sample {min(streams)}"
+            )
+        idx = np.array(kept, dtype=np.int64)
+        cols = (idx[:, None] // digits % n).astype(np.uint16).T
+        hits.extend(int(i) for i in idx[apn_mask_batch(bt, *cols)])
     return hits, hi - lo, rejected
 
 
@@ -433,7 +439,7 @@ def gcd_regime_census(spec: FieldSpec, full_scan: bool = False) -> CensusReport:
         return rep
 
     bt = BatchTables(ctx)
-    arr = np.array(tuples, dtype=np.uint16)
+    arr = np.fromiter(chain.from_iterable(tuples), np.uint16, 5 * len(tuples)).reshape(-1, 5)
     apn = np.zeros(len(tuples), dtype=bool)
     for lo in range(0, len(tuples), 8192):
         hi = min(lo + 8192, len(tuples))

@@ -12,8 +12,8 @@ The exclusions are vanishing patterns of a few quantities, and one pass,
 of A, C and D, h1, the brackets AB^q + B, AE^q + E, AC^q + D, AD^q + C and
 BC^q + B^qD, sigma = A^(q+1) + C^(q+1) + D^(q+1) + 1, and the conditions C1,
 C2 and C6 read off them. `match_summary_cases`, `predict_verdict`,
-`analyze`, `case9_shape`, `reconcile` and the search filters all read that
-one evaluation; `cond_C1_C2`, `cond_C6` and `h1_value` are views of it.
+`analyze`, `reconcile` and the search filters all read that one evaluation;
+`cond_C1_C2` is a view of it.
 
 Two known transcription discrepancies are resolved in favor of the source
 propositions and evaluated both ways where relevant:
@@ -21,26 +21,26 @@ propositions and evaluated both ways where relevant:
   - case 9's congruence is q = 2 (mod 3); the variant printed with
     q = 1 (mod 3) is tabulated separately by `reconcile`.
 
-`_evaluate` has no branches, so it (and its three views) also accepts
-coefficients given as numpy arrays that broadcast against each other, with
-an `_ArrayField` context whose operations index numpy tables; the
-exhaustive search builds its closed-form filter masks this way.
-
-The case clauses and the verdict have an array form too: `_match_array` and
-`_verdict_array` take 1-D coefficient arrays and the pass over them, and
-compute p1/p2 and the two cubic root scans only on the index subset of
-their branch. `reconcile` evaluates its batch in chunks this way, and the
-exhaustive sweep applies `prioritized` and `cases=` with them. The scalar
-`_match` and `_verdict` serve single tuples (`predict_verdict`, `analyze`,
-`passes_filters` in random mode) and are the oracle the array form is
-tested against.
+The case clauses (`_cases`) and the verdict's ordered rule list (`_rule`)
+are written once, branch-free like `_evaluate`. The same code runs on ints
+through a FieldCtx and on 1-D coefficient arrays through an `_ArrayField`,
+whose operations index numpy tables; `_evaluate` also takes coefficient
+arrays that broadcast against each other, which the exhaustive search's
+closed-form filter masks use. p1/p2 and the two cubic root scans run
+through `_where`: a plain conditional on ints, and on arrays an evaluation
+on the index subset of their branch only. `predict_verdict`, `analyze`,
+hit records and `passes_filters` read the clauses on ints; `reconcile` and
+both search modes read them on arrays. Tests hold both against the scalar
+reference transcription kept in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, islice
+from operator import or_
 
 import numpy as np
 
@@ -57,24 +57,21 @@ _Shared = namedtuple("_Shared", "Bq Eq nA nC nD h1 ab ae acd adc bcd sig c1 c2 c
 class _ArrayField:
     """The FieldCtx operations the theory reads, on numpy index arrays.
 
-    mul and frob_q index the context's numpy tables; pow, inv, sqrt and
-    norm_rel index lookup tables (pow builds one per exponent on first use).
-    inv(0) reads 0 here, so callers mask out zero arguments themselves.
-    With q, trace_rel and in_subfield (true when every entry lies in GF(q)),
-    p1_p2_values runs on arrays too. zs holds every field element.
+    mul and frob_q index the context's numpy tables; pow, sqrt and norm_rel
+    index lookup tables (pow builds one per exponent on first use). With q,
+    trace_rel and in_subfield (true when every entry lies in GF(q)),
+    p1_p2_values runs on arrays too; size, np_mul and np_frob serve the
+    root scan as they do on a FieldCtx.
     """
 
     def __init__(self, ctx: FieldCtx):
-        n = ctx.size
-        zs = np.arange(n, dtype=np.uint16)
         self.ctx = ctx
-        self.q = ctx.q
+        self.q, self.size = ctx.q, ctx.size
+        self.np_mul, self.np_frob = ctx.np_mul, ctx.np_frob
         self.mul = lambda a, b: ctx.np_mul[a, b]
         self.frob_q = ctx.np_frob.__getitem__
-        self.inv = np.array([0] + [ctx.inv(z) for z in range(1, n)], dtype=np.uint16).__getitem__
         self.sqrt = np.array(ctx.sqrt_table, dtype=np.uint16).__getitem__
-        self.norm_rel = ctx.np_mul[zs, ctx.np_frob].__getitem__
-        self.zs = zs
+        self.norm_rel = ctx.np_mul[np.arange(ctx.size), ctx.np_frob].__getitem__
         self._pow: dict[int, np.ndarray] = {}
 
     def pow(self, z, e: int):
@@ -121,16 +118,6 @@ def cond_C1_C2(ctx: FieldCtx, c: Coeffs) -> tuple[bool, bool]:
     """The two degenerations killing the X1 coefficient of G; mutually exclusive."""
     s = _evaluate(ctx, c)
     return s.c1, s.c2
-
-
-def h1_value(ctx: FieldCtx, c: Coeffs) -> int:
-    """The degree-one obstruction quantity for the B != 0 analysis."""
-    return _evaluate(ctx, c).h1
-
-
-def cond_C6(ctx: FieldCtx, c: Coeffs) -> bool:
-    """(AD^q + C, A^(q+1) + C^(q+1) + D^(q+1) + 1) != (0, 0)."""
-    return _evaluate(ctx, c).c6
 
 
 def p1_p2_values(ctx: FieldCtx, c: Coeffs) -> tuple[int, int]:
@@ -186,22 +173,18 @@ def p1_p2_values(ctx: FieldCtx, c: Coeffs) -> tuple[int, int]:
 def cubic_predicates(ctx: FieldCtx, coefs: list[int]) -> tuple[bool, bool]:
     """Root scan of c3 T^3 + c2 T^2 + c1 T + c0 over GF(q^2).
 
-    Returns (has_root_in_field, has_unit_norm_root); a unit-norm root k
-    satisfies k^(q+1) = 1.
+    Returns (has_root_in_field, has_unit_norm_root) as numpy bools; a
+    unit-norm root k satisfies k^(q+1) = 1. The coefficients are ints, or
+    1-D arrays scanned as one (tuples x N) evaluation at every T.
     """
     if len(coefs) != 4:
         raise ValueError("expected degree-3 coefficient list [c3, c2, c1, c0]")
-    c3, c2, c1, c0 = coefs
-    mul = ctx.mul
-    has_root = False
-    has_unit = False
-    for t in ctx.elements():
-        t2 = mul(t, t)
-        if mul(c3, mul(t2, t)) ^ mul(c2, t2) ^ mul(c1, t) ^ c0 == 0:
-            has_root = True
-            if ctx.norm_rel(t) == 1:
-                has_unit = True
-    return has_root, has_unit
+    tab = ctx.np_mul
+    t = np.arange(ctx.size)
+    t2 = tab[t, t]
+    c3, c2, c1, c0 = (np.asarray(v)[..., None] for v in coefs)
+    root = (tab[c3, tab[t2, t]] ^ tab[c2, t2] ^ tab[c1, t] ^ c0) == 0
+    return root.any(axis=-1), (root & (tab[t, ctx.np_frob] == 1)).any(axis=-1)
 
 
 # -- summary case predicates ---------------------------------------------------
@@ -214,12 +197,6 @@ CASE9_CONGRUENCE = 2
 def _case9(c: Coeffs, s: _Shared) -> bool:
     """Branch-free, like _evaluate: on ints and on arrays."""
     return (c.C == 0) & (c.D == 0) & (c.A != 1) & (s.nA == 1) & (s.ae == 0) & (s.ab != 0)
-
-
-def case9_shape(ctx: FieldCtx, c: Coeffs) -> bool:
-    """Case 9 without its congruence on q: C = D = 0, A^(q+1) = 1, A != 1,
-    AE^q + E = 0 and AB^q + B != 0."""
-    return _case9(c, _evaluate(ctx, c))
 
 
 def case7_cubic(ctx: FieldCtx, c: Coeffs) -> list[int]:
@@ -238,131 +215,70 @@ def _cd_cubic(c: Coeffs) -> list[int]:
     return [1, c.C, c.D, c.A]
 
 
-def _match(ctx: FieldCtx, c: Coeffs, s: _Shared, cd=None, c7=None, p12=None) -> list[int]:
-    """The matched case IDs. cd and c7 are the root scans of _cd_cubic and
-    case7_cubic and p12 is p1_p2_values, when the caller has them already."""
-    mul = ctx.mul
-    A, B, C, D, E = c
-    q = ctx.q
-    be = mul(B, s.Eq) ^ mul(s.Bq, E)  # BE^q + B^q E
-    matched = []
-
-    if s.c1 and s.nA != 1:
-        matched.append(1)
-
-    if B == 0 and s.acd == 0 and s.ae != 0 and mul(s.nA ^ 1, s.nC ^ 1) == 0:
-        matched.append(2)
-
-    if B == 0 and E == 0 and s.acd != 0:
-        if s.sig == 0 and ctx.pow(s.acd, q - 1) == ctx.pow(s.adc, 2 * (q - 1)):
-            matched.append(3)
-        if s.sig != 0 and s.adc != 0:
-            p1, p2 = p12 or p1_p2_values(ctx, c)
-            if mul(p1, p2) == 0:
-                matched.append(4)
-
-    if s.h1 == 0 and s.bcd != 0:
-        # C^q = A^q B + A^q D + B^q with A^q B + B^q != 0, read through the
-        # Frobenius as AD^q + C = AB^q + B != 0; and (B + D)^(q+1) = 1
-        if s.adc == s.ab and s.ab != 0 and ctx.norm_rel(B ^ D) == 1:
-            matched.append(5)
-        if E == 0:
-            matched.append(6)
-
-    if s.h1 == 0 and s.bcd == 0 and s.ab == 0 and be != 0:
-        has_root, _ = c7 or cubic_predicates(ctx, case7_cubic(ctx, c))
-        if not has_root:
-            matched.append(7)
-
-    if (
-        s.adc == 0
-        and s.ab != 0
-        and s.ae != 0
-        and s.nD == 1
-        and s.nA != 1
-        and be == 0
-        and mul(s.ae, ctx.inv(ctx.frob_q(s.ae))) == mul(D, ctx.sqrt(D))
-    ):
-        matched.append(8)
-
-    if q % 3 == CASE9_CONGRUENCE and _case9(c, s):
-        matched.append(9)
-
-    if s.adc == 0 and s.nA == 1 and s.ae == 0 and s.ab != 0 and D != 0 and s.nD != 1:
-        has_root, _ = cd or cubic_predicates(ctx, _cd_cubic(c))
-        if not has_root:
-            matched.append(10)
-
-    if s.adc == 0 and s.nA == 1 and B != 0 and s.ae != 0 and s.ab == 0:
-        has_root, _ = cd or cubic_predicates(ctx, _cd_cubic(c))
-        if not has_root:
-            matched.append(11)
-
-    return matched
-
-
-def match_summary_cases(ctx: FieldCtx, c: Coeffs) -> list[int]:
-    """IDs (1..11) of the summary cases matched by the tuple."""
-    return _match(ctx, c, _evaluate(ctx, c))
-
-
 def _take(c: Coeffs, idx) -> Coeffs:
     return Coeffs(*(v[idx] for v in c))
 
 
-def _has_root_array(actx: _ArrayField, coefs) -> np.ndarray:
-    """Root flags of c3 T^3 + c2 T^2 + c1 T + c0 for coefficient arrays: one
-    (tuples x N) evaluation at every T."""
-    mul, t = actx.mul, actx.zs
-    t2 = mul(t, t)
-    c3, c2, c1, c0 = (v[:, None] if np.ndim(v) else v for v in coefs)
-    val = mul(c3, mul(t2, t)) ^ mul(c2, t2) ^ mul(c1, t) ^ c0
-    return (val == 0).any(axis=1)
+def _where(ctx: FieldCtx, mask, c: Coeffs, test):
+    """test(ctx, c) where mask holds, False elsewhere. On ints this is a plain
+    conditional; on 1-D arrays test runs on the index subset of mask only."""
+    if not isinstance(mask, np.ndarray):
+        return bool(mask and test(ctx, c))
+    idx = np.flatnonzero(mask)
+    out = np.zeros(mask.shape, dtype=bool)
+    out[idx] = test(ctx, _take(c, idx))
+    return out
 
 
-def _match_array(actx: _ArrayField, c: Coeffs, s: _Shared) -> np.ndarray:
-    """_match on 1-D coefficient arrays: row i - 1 is the mask of case i.
-
-    The clauses transcribe _match's, which is the oracle tests hold this
-    against. p1/p2 and the two cubic root scans run only on the index subset
-    of their branch.
-    """
-    mul, q = actx.mul, actx.q
+def _cases(ctx: FieldCtx, c: Coeffs, s: _Shared, cd=None, c7=None, p12=None) -> list:
+    """The masks of summary cases 1..11 in order: bools on ints, bool arrays
+    on 1-D coefficient arrays. On ints, cd and c7 are the root scans of
+    _cd_cubic and case7_cubic and p12 is p1_p2_values, when the caller has
+    them already."""
+    mul, q = ctx.mul, ctx.q
     A, B, C, D, E = c
     be = mul(B, s.Eq) ^ mul(s.Bq, E)  # BE^q + B^q E
-    m = np.zeros((11, A.size), dtype=bool)
 
-    m[0] = s.c1 & (s.nA != 1)
-    m[1] = (B == 0) & (s.acd == 0) & (s.ae != 0) & (mul(s.nA ^ 1, s.nC ^ 1) == 0)
+    def p12_zero(ctx, c):
+        p1, p2 = p12 or p1_p2_values(ctx, c)
+        return ctx.mul(p1, p2) == 0
 
+    def no_root(cubic, scan):
+        return lambda ctx, c: ~(scan or cubic_predicates(ctx, cubic(ctx, c)))[0]
+
+    no_cd_root = no_root(lambda _, c: _cd_cubic(c), cd)
     b0e0 = (B == 0) & (E == 0) & (s.acd != 0)
-    m[2] = b0e0 & (s.sig == 0) & (actx.pow(s.acd, q - 1) == actx.pow(s.adc, 2 * (q - 1)))
-    i4 = np.flatnonzero(b0e0 & (s.sig != 0) & (s.adc != 0))
-    p1, p2 = p1_p2_values(actx, _take(c, i4))
-    m[3, i4] = mul(p1, p2) == 0
-
     gcd = (s.h1 == 0) & (s.bcd != 0)
-    m[4] = gcd & (s.adc == s.ab) & (s.ab != 0) & (actx.norm_rel(B ^ D) == 1)
-    m[5] = gcd & (E == 0)
-
-    i7 = np.flatnonzero((s.h1 == 0) & (s.bcd == 0) & (s.ab == 0) & (be != 0))
-    m[6, i7] = ~_has_root_array(actx, case7_cubic(actx, _take(c, i7)))
-
-    m[7] = (
+    c6_branch = (s.adc == 0) & (s.nA == 1)
+    return [
+        s.c1 & (s.nA != 1),
+        (B == 0) & (s.acd == 0) & (s.ae != 0) & (mul(s.nA ^ 1, s.nC ^ 1) == 0),
+        b0e0 & (s.sig == 0) & (ctx.pow(s.acd, q - 1) == ctx.pow(s.adc, 2 * (q - 1))),
+        _where(ctx, b0e0 & (s.sig != 0) & (s.adc != 0), c, p12_zero),
+        # C^q = A^q B + A^q D + B^q with A^q B + B^q != 0, read through the
+        # Frobenius as AD^q + C = AB^q + B != 0; and (B + D)^(q+1) = 1
+        gcd & (s.adc == s.ab) & (s.ab != 0) & (ctx.norm_rel(B ^ D) == 1),
+        gcd & (E == 0),
+        _where(ctx, (s.h1 == 0) & (s.bcd == 0) & (s.ab == 0) & (be != 0), c,
+               no_root(case7_cubic, c7)),
+        # (AE^q + E) / (AE^q + E)^q = D sqrt(D), multiplied out; the two
+        # agree where AE^q + E != 0, and this form needs no inverse
         (s.adc == 0) & (s.ab != 0) & (s.ae != 0) & (s.nD == 1) & (s.nA != 1) & (be == 0)
-        & (mul(s.ae, actx.inv(actx.frob_q(s.ae))) == mul(D, actx.sqrt(D)))
-    )
+        & (s.ae == mul(ctx.frob_q(s.ae), mul(D, ctx.sqrt(D)))),
+        (q % 3 == CASE9_CONGRUENCE) & _case9(c, s),
+        _where(ctx, c6_branch & (s.ae == 0) & (s.ab != 0) & (D != 0) & (s.nD != 1), c, no_cd_root),
+        _where(ctx, c6_branch & (B != 0) & (s.ae != 0) & (s.ab == 0), c, no_cd_root),
+    ]
 
-    if q % 3 == CASE9_CONGRUENCE:
-        m[8] = _case9(c, s)
 
-    r10 = (s.adc == 0) & (s.nA == 1) & (s.ae == 0) & (s.ab != 0) & (D != 0) & (s.nD != 1)
-    r11 = (s.adc == 0) & (s.nA == 1) & (B != 0) & (s.ae != 0) & (s.ab == 0)
-    icd = np.flatnonzero(r10 | r11)
-    no_root = ~_has_root_array(actx, _cd_cubic(_take(c, icd)))
-    m[9, icd] = r10[icd] & no_root
-    m[10, icd] = r11[icd] & no_root
-    return m
+def _matched(cases) -> tuple[int, ...]:
+    """The IDs of the cases that hold, from _cases on ints."""
+    return tuple(i for i, hold in enumerate(cases, 1) if hold)
+
+
+def match_summary_cases(ctx: FieldCtx, c: Coeffs) -> list[int]:
+    """IDs (1..11) of the summary cases matched by the tuple."""
+    return list(_matched(_cases(ctx, c, _evaluate(ctx, c))))
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -410,81 +326,64 @@ class TheoryReport:
         }
 
 
-def _verdict(ctx: FieldCtx, c: Coeffs, s: _Shared, matched: tuple[int, ...] | None = None) -> Verdict:
-    """The verdict from one evaluation; the cases are matched here unless given."""
-    if s.c1:
-        if s.nA != 1:
-            return Verdict("apn", (1,), "condition-C1")
-        return Verdict("not-apn", (), "condition-C1")
-    if s.c2:
-        return Verdict("not-apn", (), "condition-C2")
-    if matched is None:
-        matched = tuple(_match(ctx, c, s))
-
-    # The C6-failure branch with AB^q + B != 0 and AE^q + E = 0 is decided
-    # both ways: APN exactly when case 9 or 10 matches.
-    if not s.c6 and s.ab != 0 and s.ae == 0:
-        hit = tuple(i for i in matched if i in (9, 10))
-        if hit:
-            return Verdict("apn", hit, "c6-fails-iff")
-        return Verdict("excluded", matched, "c6-fails-iff-complement")
-    if matched:
-        return Verdict("candidate", matched, "necessary-conditions")
-
-    # No case matched: name the theorem family responsible.
-    if c.B != 0:
-        if s.h1 != 0:
-            reason = "generic-obstruction" if s.c6 else "c6-fails-no-case"
-        elif s.bcd != 0:
-            reason = "gcd-regime-no-case"
-        else:
-            reason = "c7-degenerate-no-case"
-    elif s.acd == 0:
-        reason = "b0-collapsed-branch"
-    elif c.E != 0:
-        reason = "b0-nonzero-e"
-    else:
-        reason = "b0-trace-branch"
-    return Verdict("excluded", (), reason)
-
-
-#: _verdict's reasons in the order it decides them, and its kinds; the
-#: array form codes each verdict as (kind, reason) indices into these.
-_REASONS = (
-    "condition-C1", "condition-C2", "c6-fails-iff", "c6-fails-iff-complement",
-    "necessary-conditions", "generic-obstruction", "c6-fails-no-case",
-    "gcd-regime-no-case", "c7-degenerate-no-case", "b0-collapsed-branch",
-    "b0-nonzero-e", "b0-trace-branch",
+#: The verdict's rules as (kind, reason), in the order _rule decides them.
+_RULES = (
+    ("apn", "condition-C1"),
+    ("not-apn", "condition-C1"),
+    ("not-apn", "condition-C2"),
+    ("apn", "c6-fails-iff"),
+    ("excluded", "c6-fails-iff-complement"),
+    ("candidate", "necessary-conditions"),
+    ("excluded", "generic-obstruction"),
+    ("excluded", "c6-fails-no-case"),
+    ("excluded", "gcd-regime-no-case"),
+    ("excluded", "c7-degenerate-no-case"),
+    ("excluded", "b0-collapsed-branch"),
+    ("excluded", "b0-nonzero-e"),
+    ("excluded", "b0-trace-branch"),
 )
-_KINDS = ("excluded", "candidate", "apn", "not-apn")
-_EXCLUDED, _CANDIDATE, _APN, _NOT_APN = range(4)
-_C1, _IFF, _NECESSARY = 0, 2, 4
+_C1_APN, _C1, _C2, _IFF, _IFF_COMPLEMENT, _NECESSARY = range(6)
+#: True for the rules of kind 'apn' or 'candidate', indexed by rule.
+_PROMISING = np.array([kind in ("apn", "candidate") for kind, _ in _RULES])
 
 
-def _verdict_array(c: Coeffs, s: _Shared, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_verdict on 1-D coefficient arrays, from _match_array's masks m, as
-    (kind, reason) codes. The verdict's cases are m's for 'candidate' and
-    'c6-fails-iff-complement', m's cases 9 and 10 for 'c6-fails-iff',
-    (1,) for an 'apn' C1 verdict and () otherwise."""
+def _rule(c: Coeffs, s: _Shared, cases: list):
+    """The index into _RULES of the verdict: the first rule whose condition
+    holds, the last when none does. An int on ints (cases from _cases), an
+    index array on 1-D coefficient arrays."""
     bn = c.B != 0
-    iff = ~s.c6 & (s.ab != 0) & (s.ae == 0)
     obstructed = bn & (s.h1 != 0)
-    reason = np.select(
-        [s.c1, s.c2, iff & (m[8] | m[9]), iff, m.any(axis=0),
-         obstructed & s.c6, obstructed, bn & (s.bcd != 0), bn, s.acd == 0, c.E != 0],
-        range(11),
-        len(_REASONS) - 1,
-    )
-    kind = np.select(
-        [s.c1 & (s.nA != 1), s.c1 | s.c2, reason == _IFF, reason == _NECESSARY],
-        [_APN, _NOT_APN, _APN, _CANDIDATE],
-        _EXCLUDED,
-    )
-    return kind, reason
+    # the C6-failure branch with AB^q + B != 0 and AE^q + E = 0 is decided
+    # both ways: APN exactly when case 9 or 10 matches
+    iff = (s.adc == 0) & (s.sig == 0) & (s.ab != 0) & (s.ae == 0)
+    conds = [
+        s.c1 & (s.nA != 1), s.c1, s.c2, iff & (cases[8] | cases[9]), iff, reduce(or_, cases),
+        # no case matched: name the theorem family responsible
+        obstructed & s.c6, obstructed, bn & (s.bcd != 0), bn, s.acd == 0, c.E != 0,
+    ]
+    if isinstance(bn, np.ndarray):
+        return np.select(conds, range(len(conds)), len(conds))
+    return next((i for i, hold in enumerate(conds) if hold), len(conds))
+
+
+def _verdict_of(rule: int, matched: tuple[int, ...]) -> Verdict:
+    """The Verdict of one tuple's rule, citing the cases its rule reads."""
+    kind, reason = _RULES[rule]
+    if rule == _C1_APN:
+        cited = (1,)
+    elif rule == _IFF:
+        cited = tuple(i for i in matched if i in (9, 10))
+    elif rule in (_IFF_COMPLEMENT, _NECESSARY):
+        cited = matched
+    else:
+        cited = ()
+    return Verdict(kind, cited, reason)
 
 
 def predict_verdict(ctx: FieldCtx, c: Coeffs) -> Verdict:
-    return _verdict(ctx, c, _evaluate(ctx, c))
+    s = _evaluate(ctx, c)
+    cases = _cases(ctx, c, s)
+    return _verdict_of(_rule(c, s, cases), _matched(cases))
 
 
 def analyze(ctx: FieldCtx, c: Coeffs) -> TheoryReport:
@@ -493,16 +392,17 @@ def analyze(ctx: FieldCtx, c: Coeffs) -> TheoryReport:
     p1, p2 = p1_p2_values(ctx, c)
     b0 = c.B == 0 and s.acd == 0
     c7_branch = s.h1 == 0 and s.bcd == 0 and c.B != 0
-    # each cubic is scanned once, here, and _match reads the same scans
+    # each cubic is scanned once, here, and _cases reads the same scans
     cd = cubic_predicates(ctx, _cd_cubic(c)) if b0 or s.adc == 0 else None
     c7 = cubic_predicates(ctx, case7_cubic(ctx, c)) if c7_branch else None
     cubic_flags: dict[str, bool | None] = {
-        "b0-part2-unit-norm-root": cd[1] if b0 else None,
-        "c7-degenerate-has-root": c7[0] if c7_branch else None,
-        "c6-fails-has-root": cd[0] if s.adc == 0 else None,
+        "b0-part2-unit-norm-root": bool(cd[1]) if b0 else None,
+        "c7-degenerate-has-root": bool(c7[0]) if c7_branch else None,
+        "c6-fails-has-root": bool(cd[0]) if s.adc == 0 else None,
     }
 
-    matched = tuple(_match(ctx, c, s, cd, c7, (p1, p2)))
+    cases = _cases(ctx, c, s, cd, c7, (p1, p2))
+    matched = _matched(cases)
     return TheoryReport(
         c1=s.c1,
         c2=s.c2,
@@ -512,7 +412,7 @@ def analyze(ctx: FieldCtx, c: Coeffs) -> TheoryReport:
         p2=p2,
         cubic_flags=cubic_flags,
         matched_cases=matched,
-        verdict=_verdict(ctx, c, s, matched),
+        verdict=_verdict_of(_rule(c, s, cases), matched),
     )
 
 
@@ -563,7 +463,7 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
     actx = _ArrayField(ctx)
     rep = ReconcileReport()
     regime = {"size": 0, "apn": 0, "prop-reading-matches": 0, "summary-reading-matches": 0}
-    exceptions = np.zeros(len(_REASONS), dtype=np.int64)
+    emp_rules = np.zeros(len(_RULES), dtype=np.int64)  # APN tuples by verdict rule
     prop_says = ctx.q % 3 == CASE9_CONGRUENCE
     summary_says = ctx.q % 3 == 1
     prop_consistent = True
@@ -579,21 +479,16 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
         c = Coeffs(*np.fromiter(chain.from_iterable(tuples), np.uint16, 5 * k).reshape(k, 5).T)
         emp = np.fromiter(flags, bool, k)
         s = _evaluate(actx, c)
-        m = _match_array(actx, c, s)
-        kind, reason = _verdict_array(c, s, m)
+        cases = _cases(actx, c, s)
+        rule = _rule(c, s, cases)
         rep.total += emp.size
         rep.apn_total += count(emp)
-        rep.confirmations += count(emp & ((kind == _APN) | (kind == _CANDIDATE)))
-        exceptions += np.bincount(reason[emp & (kind == _EXCLUDED)], minlength=len(_REASONS))
-        c1 = reason == _C1
-        not_apn = emp & (kind == _NOT_APN)
-        false_apn = ~emp & (kind == _APN)
-        rep.contradictions_c1 += count((not_apn | false_apn) & c1)
-        rep.contradictions_c2 += count(not_apn & ~c1)
-        # an 'apn' verdict cites case 1 (C1, where AB^q + B = 0) or those of
-        # cases 9 and 10 that match (both need AB^q + B != 0)
-        rep.contradictions_case9 += count(false_apn & m[8])
-        rep.contradictions_case10 += count(false_apn & m[9])
+        emp_rules += np.bincount(rule[emp], minlength=len(_RULES))
+        rep.contradictions_c1 += count(~emp & (rule == _C1_APN))
+        # the 'c6-fails-iff' verdict cites those of cases 9 and 10 that match
+        false_iff = ~emp & (rule == _IFF)
+        rep.contradictions_case9 += count(false_iff & cases[8])
+        rep.contradictions_case10 += count(false_iff & cases[9])
 
         # case-9 regime tabulation under the two congruence readings
         r9 = _case9(c, s)
@@ -606,7 +501,12 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
         prop_consistent &= prop == count(r9)
         summary_consistent &= summary == count(r9)
 
-    rep.exceptions_by_reason = {r: int(k) for r, k in zip(_REASONS, exceptions) if k}
+    rep.confirmations = int(emp_rules[_PROMISING].sum())
+    rep.contradictions_c1 += int(emp_rules[_C1])
+    rep.contradictions_c2 = int(emp_rules[_C2])
+    rep.exceptions_by_reason = {
+        reason: int(k) for (kind, reason), k in zip(_RULES, emp_rules) if kind == "excluded" and k
+    }
     rep.case9_regime = regime
     if regime["size"] == 0:
         rep.congruence_resolution = "no case-9-shaped tuples in batch"

@@ -24,7 +24,14 @@ that shares no code with the toolkit's own computation of it:
 - `lowest_part_resultant_check`: Res_Z0 of the lowest homogeneous parts of
   g1 and g2 by `resultant_z0`, against the closed form (A^q B + B^q)^2 h1 Z1^3
   that the theory's h1 predicts.
-- `reconcile_scalar`: `theory.reconcile` as a loop of scalar `_verdict`
+- `match_scalar` and `verdict_scalar`: the summary cases and the verdict
+  as short-circuit scalar code, one `if` per clause in the paper's reading
+  order, in place of the branch-free `theory._cases` and `theory._rule`
+  that run on ints and on arrays. Case 8 is read as printed, with the
+  inverse of the Frobenius image of AE^q + E. Both share `_evaluate`, the
+  root scan and p1/p2 with the toolkit; the clauses are what they check.
+- `passes_filters_scalar`: `search.passes_filters` through those two.
+- `reconcile_scalar`: `theory.reconcile` as a loop of `verdict_scalar`
   calls, one tuple at a time, in place of its chunked array form.
 
 `resultant_z0` is a Sylvester determinant over GF(q^2)[Z1], expanded by
@@ -36,7 +43,18 @@ from __future__ import annotations
 from hexapn.field import FieldCtx
 from hexapn.hexanomial import Coeffs, function_table
 from hexapn.sympoly import X0, Z0, Z1, MPoly, g1_g2_displays, g_display
-from hexapn.theory import CASE9_CONGRUENCE, ReconcileReport, _case9, _evaluate, _verdict, h1_value
+from hexapn.theory import (
+    CASE9_CONGRUENCE,
+    ReconcileReport,
+    Verdict,
+    _case9,
+    _cd_cubic,
+    _evaluate,
+    _Shared,
+    case7_cubic,
+    cubic_predicates,
+    p1_p2_values,
+)
 
 
 def f4_closed_form_apn(c: Coeffs) -> bool:
@@ -284,9 +302,132 @@ def lowest_part_resultant_check(ctx: FieldCtx, c: Coeffs):
     g1l, g2l, g3l = lowest_parts(ctx, c)
     res = resultant_z0(g1l, g2l, deg_p=1, deg_r=3)
     e1 = ctx.mul(ctx.frob_q(c.A), c.B) ^ ctx.frob_q(c.B)
-    scale = ctx.mul(ctx.mul(e1, e1), h1_value(ctx, c))
+    scale = ctx.mul(ctx.mul(e1, e1), _evaluate(ctx, c).h1)
     expected = MPoly(ctx, {(0, 0, 0, 3): scale} if scale else {})
     return g1l, g2l, g3l, res, res == expected
+
+
+# -- the scalar reference transcription of the summary cases and the verdict --
+
+
+def match_scalar(ctx: FieldCtx, c: Coeffs, s: _Shared, cd=None, c7=None, p12=None) -> list[int]:
+    """The matched case IDs. cd and c7 are the root scans of _cd_cubic and
+    case7_cubic and p12 is p1_p2_values, when the caller has them already."""
+    mul = ctx.mul
+    A, B, C, D, E = c
+    q = ctx.q
+    be = mul(B, s.Eq) ^ mul(s.Bq, E)  # BE^q + B^q E
+    matched = []
+
+    if s.c1 and s.nA != 1:
+        matched.append(1)
+
+    if B == 0 and s.acd == 0 and s.ae != 0 and mul(s.nA ^ 1, s.nC ^ 1) == 0:
+        matched.append(2)
+
+    if B == 0 and E == 0 and s.acd != 0:
+        if s.sig == 0 and ctx.pow(s.acd, q - 1) == ctx.pow(s.adc, 2 * (q - 1)):
+            matched.append(3)
+        if s.sig != 0 and s.adc != 0:
+            p1, p2 = p12 or p1_p2_values(ctx, c)
+            if mul(p1, p2) == 0:
+                matched.append(4)
+
+    if s.h1 == 0 and s.bcd != 0:
+        # C^q = A^q B + A^q D + B^q with A^q B + B^q != 0, read through the
+        # Frobenius as AD^q + C = AB^q + B != 0; and (B + D)^(q+1) = 1
+        if s.adc == s.ab and s.ab != 0 and ctx.norm_rel(B ^ D) == 1:
+            matched.append(5)
+        if E == 0:
+            matched.append(6)
+
+    if s.h1 == 0 and s.bcd == 0 and s.ab == 0 and be != 0:
+        has_root, _ = c7 or cubic_predicates(ctx, case7_cubic(ctx, c))
+        if not has_root:
+            matched.append(7)
+
+    if (
+        s.adc == 0
+        and s.ab != 0
+        and s.ae != 0
+        and s.nD == 1
+        and s.nA != 1
+        and be == 0
+        and mul(s.ae, ctx.inv(ctx.frob_q(s.ae))) == mul(D, ctx.sqrt(D))
+    ):
+        matched.append(8)
+
+    if q % 3 == CASE9_CONGRUENCE and _case9(c, s):
+        matched.append(9)
+
+    if s.adc == 0 and s.nA == 1 and s.ae == 0 and s.ab != 0 and D != 0 and s.nD != 1:
+        has_root, _ = cd or cubic_predicates(ctx, _cd_cubic(c))
+        if not has_root:
+            matched.append(10)
+
+    if s.adc == 0 and s.nA == 1 and B != 0 and s.ae != 0 and s.ab == 0:
+        has_root, _ = cd or cubic_predicates(ctx, _cd_cubic(c))
+        if not has_root:
+            matched.append(11)
+
+    return matched
+
+
+def verdict_scalar(ctx: FieldCtx, c: Coeffs, s: _Shared, matched: tuple[int, ...] | None = None) -> Verdict:
+    """The verdict from one evaluation; the cases are matched here unless given."""
+    if s.c1:
+        if s.nA != 1:
+            return Verdict("apn", (1,), "condition-C1")
+        return Verdict("not-apn", (), "condition-C1")
+    if s.c2:
+        return Verdict("not-apn", (), "condition-C2")
+    if matched is None:
+        matched = tuple(match_scalar(ctx, c, s))
+
+    # The C6-failure branch with AB^q + B != 0 and AE^q + E = 0 is decided
+    # both ways: APN exactly when case 9 or 10 matches.
+    if not s.c6 and s.ab != 0 and s.ae == 0:
+        hit = tuple(i for i in matched if i in (9, 10))
+        if hit:
+            return Verdict("apn", hit, "c6-fails-iff")
+        return Verdict("excluded", matched, "c6-fails-iff-complement")
+    if matched:
+        return Verdict("candidate", matched, "necessary-conditions")
+
+    # No case matched: name the theorem family responsible.
+    if c.B != 0:
+        if s.h1 != 0:
+            reason = "generic-obstruction" if s.c6 else "c6-fails-no-case"
+        elif s.bcd != 0:
+            reason = "gcd-regime-no-case"
+        else:
+            reason = "c7-degenerate-no-case"
+    elif s.acd == 0:
+        reason = "b0-collapsed-branch"
+    elif c.E != 0:
+        reason = "b0-nonzero-e"
+    else:
+        reason = "b0-trace-branch"
+    return Verdict("excluded", (), reason)
+
+
+def passes_filters_scalar(ctx: FieldCtx, c: Coeffs, filters) -> bool:
+    """search.passes_filters, clause by clause on match_scalar and verdict_scalar."""
+    s = _evaluate(ctx, c)
+    if filters.require_a_nonzero and c.A == 0:
+        return False
+    if filters.exclude_c1c2 and (s.c1 or s.c2):
+        return False
+    if filters.exclude_obstruction and s.c6 and s.h1 != 0:
+        return False
+    matched = None
+    if filters.cases:
+        matched = tuple(match_scalar(ctx, c, s))
+        if not filters.cases.intersection(matched):
+            return False
+    if filters.prioritized and verdict_scalar(ctx, c, s, matched).kind in ("excluded", "not-apn"):
+        return False
+    return True
 
 
 def reconcile_scalar(ctx: FieldCtx, batch) -> ReconcileReport:
@@ -301,7 +442,7 @@ def reconcile_scalar(ctx: FieldCtx, batch) -> ReconcileReport:
         if empirical:
             rep.apn_total += 1
         s = _evaluate(ctx, c)
-        v = _verdict(ctx, c, s)
+        v = verdict_scalar(ctx, c, s)
         if v.kind == "apn" and empirical:
             rep.confirmations += 1
         elif v.kind == "candidate" and empirical:

@@ -116,6 +116,12 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 5
     code, _, err = run_cli(capsys, "sympoly", "--field", "F4", "--tuple", "a,0,0,0,0")
     assert code == 4 and "C1" in err
+    # summary cases run from 1 to 11, in both search modes
+    for mode in (("--mode", "exhaustive"), ("--mode", "random", "--seed", "1", "--samples", "1")):
+        code, out, err = run_cli(capsys, "search", "--field", "F4", *mode, "--filters", "cases=12",
+                                 "--out", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
     # fields stop at GF(2^10): a degree-12 spec is a bad spec, not a traceback
     for cmd in ("verify", "theory", "invariants"):
         code, out, err = run_cli(capsys, cmd, "--field", "gf2:12:0x1053",

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from hexapn.field import NAMED_SPECS, make_field
-from hexapn.hexanomial import Coeffs, scale_input_coeffs
+from hexapn.hexanomial import Coeffs, function_table, scale_input_coeffs
 from hexapn.invariants import (
     RankGateError,
+    _delta_rank_table,
     fingerprint,
-    gamma_delta_rank,
     gamma_rank_table,
     gf2_rank,
     partition_by_fingerprint,
@@ -52,8 +52,6 @@ def test_gamma_rank_zero_function(f4):
 
 
 def test_gamma_rank_matches_dense_oracle(f4):
-    from hexapn.hexanomial import function_table
-
     c = Coeffs(2, 0, 0, 0, 2)
     table = function_table(f4, c)
     graph = [(x << 2) | fx for x, fx in enumerate(table)]
@@ -63,31 +61,29 @@ def test_gamma_rank_matches_dense_oracle(f4):
         for g in graph:
             row |= 1 << (u ^ g)
         rows.append(row)
-    assert gamma_delta_rank(f4, c, "gamma") == dense_rank_oracle(rows, 16)
+    assert gamma_rank_table(f4, table) == dense_rank_oracle(rows, 16)
 
 
 def test_rank_scaling_invariance(f4):
-    from hexapn.hexanomial import function_table
-
     rng = random.Random(1)
     for _ in range(8):
         c = Coeffs(*(rng.randrange(4) for _ in range(5)))
         lam = rng.randrange(1, 4)
         scaled = scale_input_coeffs(f4, c, lam)
-        for which in ("gamma", "delta"):
-            assert gamma_delta_rank(f4, c, which) == gamma_delta_rank(f4, scaled, which)
+        for rank in (gamma_rank_table, _delta_rank_table):
+            assert rank(f4, function_table(f4, c)) == rank(f4, function_table(f4, scaled))
         # output scaling f -> mu f, via explicit re-tabulation
         mu = rng.randrange(1, 4)
         table = [f4.mul(mu, v) for v in function_table(f4, c)]
-        assert gamma_rank_table(f4, table) == gamma_delta_rank(f4, c, "gamma")
+        assert gamma_rank_table(f4, table) == gamma_rank_table(f4, function_table(f4, c))
 
 
 def test_rank_gate(f4):
     ctx = make_field(NAMED_SPECS["F256"])
-    with pytest.raises(RankGateError):
-        gamma_delta_rank(ctx, Coeffs(2, 0, 0, 0, 2), "gamma")
-    with pytest.raises(ValueError):
-        gamma_delta_rank(f4, Coeffs(2, 0, 0, 0, 2), "sideways")
+    table = function_table(ctx, Coeffs(2, 0, 0, 0, 2))
+    for rank in (gamma_rank_table, _delta_rank_table):
+        with pytest.raises(RankGateError):
+            rank(ctx, table)
 
 
 def test_fingerprint_roundtrip_and_hash(f4):

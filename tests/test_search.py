@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -14,8 +16,8 @@ from hexapn.search import (
     SearchGateError,
     SearchJob,
     _ArrayField,
+    _keep,
     _sweep_blocks,
-    _theory_keep,
     index_tuple,
     parse_filters,
     passes_filters,
@@ -24,6 +26,7 @@ from hexapn.search import (
     run_random,
     tuple_index,
 )
+from oracles import passes_filters_scalar
 
 
 def test_tuple_index_roundtrip():
@@ -44,6 +47,9 @@ def test_parse_filters():
     assert not f.exclude_c1c2
     with pytest.raises(ValueError):
         parse_filters("bogus-token")
+    for text in ("cases=0", "cases=12", "cases=5;12"):
+        with pytest.raises(ValueError):
+            parse_filters(text)
 
 
 def test_filter_labels():
@@ -106,13 +112,13 @@ EQUIVALENCE_FILTERS = [
 
 @pytest.mark.parametrize("text", EQUIVALENCE_FILTERS)
 def test_exhaustive_filters_match_scalar_oracle_q2(text):
-    # every filter token applies in exhaustive mode exactly as passes_filters
-    # decides it; the APN oracle is the scalar DDT test
+    # every filter token applies in exhaustive mode exactly as the scalar
+    # reference decides it; the APN oracle is the scalar DDT test
     spec = NAMED_SPECS["F4"]
     ctx = make_field(spec)
     filters = parse_filters(text)
     kept = [c for c in map(lambda i: index_tuple(i, 4), range(4 ** 5))
-            if passes_filters(ctx, c, filters)]
+            if passes_filters_scalar(ctx, c, filters)]
     res = run_exhaustive(SearchJob(spec, "exhaustive", filters=filters))
     assert res.counters["tested"] == len(kept)
     assert res.counters["skipped_by_filter"] == 4 ** 5 - len(kept)
@@ -123,11 +129,11 @@ def test_exhaustive_filters_match_scalar_oracle_q2(text):
 def test_exhaustive_obstruction_filter_matches_scalar_oracle_q4():
     # the obstruction clause alone must also act on A = 0 blocks. The APN
     # oracle here is the unfiltered sweep (the batch kernel, itself checked
-    # against the scalar tests), restricted to the tuples passes_filters keeps
+    # against the scalar tests), restricted to the tuples the scalar reference keeps
     spec = NAMED_SPECS["F16"]
     ctx = make_field(spec)
     filters = parse_filters("exclude-obstruction")
-    kept = [i for i in range(16 ** 5) if passes_filters(ctx, index_tuple(i, 16), filters)]
+    kept = [i for i in range(16 ** 5) if passes_filters_scalar(ctx, index_tuple(i, 16), filters)]
     res = run_exhaustive(SearchJob(spec, "exhaustive", filters=filters), verify=False)
     assert res.counters["tested"] == len(kept) == 367936
     assert res.counters["skipped_by_filter"] == 16 ** 5 - len(kept)
@@ -140,7 +146,7 @@ def test_exhaustive_obstruction_filter_matches_scalar_oracle_q4():
 @pytest.mark.parametrize("text", ["prioritized", "cases=5;6", "a-nonzero,prioritized"])
 def test_sweep_theory_filters_match_scalar_oracle_q4(text):
     # the sweep's array-form verdicts and cases keep exactly the tuples that
-    # scalar passes_filters keeps, tuple by tuple, on F16 blocks with A = 0
+    # the scalar reference keeps, tuple by tuple, on F16 blocks with A = 0
     # and A = 1 (every verdict reason occurs there); the block's hits are its
     # kept tuples that the scalar DDT test finds APN
     ctx = make_field(NAMED_SPECS["F16"])
@@ -151,9 +157,9 @@ def test_sweep_theory_filters_match_scalar_oracle_q4(text):
     for blk in range(240, 336):
         A, B, C = blk // 256, blk // 16 % 16, blk % 16
         c = Coeffs(*(np.full(zs.shape, z, dtype=np.uint16) for z in (A, B, C)), zs // 16, zs % 16)
-        keep = _theory_keep(actx, c, filters) & ~(filters.require_a_nonzero & (A == 0))
+        keep = _keep(actx, c, filters)
         kept = [i for i in range(blk * 256, blk * 256 + 256)
-                if passes_filters(ctx, index_tuple(i, 16), filters)]
+                if passes_filters_scalar(ctx, index_tuple(i, 16), filters)]
         assert [blk * 256 + int(i) for i in np.flatnonzero(keep)] == kept, blk
         hits, tested, skipped = _sweep_blocks(ctx, blk, blk + 1, filters)
         assert (tested, skipped) == (len(kept), 256 - len(kept))
@@ -175,11 +181,14 @@ def test_passes_filters_consistency():
     ctx = make_field(NAMED_SPECS["F16"])
     rng = random.Random(2)
     kept = 0
+    others = [parse_filters(t) for t in EQUIVALENCE_FILTERS + ["cases=5;6", "a-nonzero,cases=2;3;4;7;8;11"]]
     for _ in range(500):
         c = Coeffs(*(rng.randrange(16) for _ in range(5)))
         if passes_filters(ctx, c, THEORY_FILTERS):
             kept += 1
             assert c.A != 0
+        for filters in others:
+            assert passes_filters(ctx, c, filters) == passes_filters_scalar(ctx, c, filters), c
     assert 0 < kept < 500
 
 
@@ -235,6 +244,30 @@ def test_random_case_restricted_q8():
     )
     res = run_random(job)
     assert res.counters["apn"] == 10
+
+
+#: sha256 of the random-mode hits and counters below, as computed when each
+#: draw was filtered one at a time by the scalar clauses.
+RANDOM_DIGEST = "be968ab6fc63bd5565bb85b41a22707e163b641d584a6f136b7625d63fb6ce0d"
+RANDOM_RUNS = [
+    (field, text, 6 if (field, text) == ("F64", "cases=9;10") else 24)
+    for field in ("F16", "F64")
+    for text in ("theory", "prioritized", "cases=5;6", "cases=9;10")
+]
+
+
+def test_random_output_pinned():
+    # grouped array-form filtering keeps each sample's first accepted draw:
+    # hits and counters are those of the per-draw scalar loop, for every
+    # shard count
+    digest = hashlib.sha256()
+    for (field, text, samples), seed, shards in itertools.product(RANDOM_RUNS, (3, 7), (1, 3)):
+        res = run_random(SearchJob(NAMED_SPECS[field], "random", samples=samples, seed=seed,
+                                   filters=parse_filters(text), shards=shards))
+        line = (field, text, seed, shards, [tuple(c) for c in res.apn_hits],
+                sorted(res.counters.items()))
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == RANDOM_DIGEST
 
 
 def test_random_sparse_filter_errors():

@@ -12,23 +12,22 @@ from hexapn.diffanalysis import is_apn_ddt
 from hexapn.search import _ArrayField
 from hexapn.theory import (
     CASE9_CONGRUENCE,
-    _KINDS,
-    _REASONS,
+    _RULES,
+    _case9,
+    _cases,
     _evaluate,
-    _match_array,
-    _verdict_array,
+    _matched,
+    _rule,
+    _verdict_of,
     analyze,
-    case9_shape,
     cond_C1_C2,
-    cond_C6,
     cubic_predicates,
-    h1_value,
     match_summary_cases,
     p1_p2_values,
     predict_verdict,
     reconcile,
 )
-from oracles import f4_closed_form_apn, reconcile_scalar
+from oracles import f4_closed_form_apn, match_scalar, reconcile_scalar, verdict_scalar
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +44,7 @@ def f16():
 
 
 def h1_oracle(ctx, c):
-    """Term-by-term via generic pow, independently of h1_value's arrangement."""
+    """Term-by-term via generic pow, independently of _evaluate's arrangement."""
     q = ctx.q
     mul, pw = ctx.mul, ctx.pow
     A, B, C, D, _ = c
@@ -144,28 +143,28 @@ def test_c1_c2_mutually_exclusive(f4, f16):
 def test_h1_zero_when_b_zero(f4, f16):
     for ctx in (f4, f16):
         for a, c, d, e in itertools.product(range(0, ctx.size, 3), repeat=4):
-            assert h1_value(ctx, Coeffs(a, 0, c, d, e)) == 0
+            assert _evaluate(ctx, Coeffs(a, 0, c, d, e)).h1 == 0
 
 
 def test_h1_examples_and_oracle(f4, f16):
-    assert h1_value(f4, Coeffs(1, 2, 0, 1, 1)) == 0
+    assert _evaluate(f4, Coeffs(1, 2, 0, 1, 1)).h1 == 0
     # a tuple with nonzero h1, value confirmed by the independent oracle
     c = Coeffs(2, 2, 0, 0, 0)
-    assert h1_value(f4, c) == h1_oracle(f4, c) == 1
+    assert _evaluate(f4, c).h1 == h1_oracle(f4, c) == 1
     rng = random.Random(1)
     for ctx in (f4, f16):
         for _ in range(500):
             c = Coeffs(*(rng.randrange(ctx.size) for _ in range(5)))
-            assert h1_value(ctx, c) == h1_oracle(ctx, c)
+            assert _evaluate(ctx, c).h1 == h1_oracle(ctx, c)
 
 
 def test_c6_examples(f4):
     # (a, *, 0, 0, *): AD^q + C = 0 and A^3 + 1 = 0
-    assert not cond_C6(f4, Coeffs(2, 1, 0, 0, 1))
+    assert not _evaluate(f4, Coeffs(2, 1, 0, 0, 1)).c6
     # (1, *, 1, 1, *) at q=2: both coordinates vanish
-    assert not cond_C6(f4, Coeffs(1, 2, 1, 1, 0))
+    assert not _evaluate(f4, Coeffs(1, 2, 1, 1, 0)).c6
     # C != AD^q forces the first coordinate nonzero
-    assert cond_C6(f4, Coeffs(2, 0, 1, 0, 0))
+    assert _evaluate(f4, Coeffs(2, 0, 1, 0, 0)).c6
 
 
 def test_p1_p2_double_evaluation(f4, f16):
@@ -227,11 +226,11 @@ def test_case9_congruence_variants(f4, f16):
     # with q = 1 (mod 3); the data side with the proposition at q = 2 and 4
     assert CASE9_CONGRUENCE == 2
     c = Coeffs(2, 1, 0, 0, f4.inv(2))
-    assert case9_shape(f4, c) and f4.q % 3 == 2
+    assert _case9(c, _evaluate(f4, c)) and f4.q % 3 == 2
     assert 9 in match_summary_cases(f4, c)
     assert is_apn_ddt(f4, c)
     c = Coeffs(f16.pow(2, 3), 1, 0, 0, 0)  # A^(q+1) = a^15 = 1
-    assert case9_shape(f16, c) and f16.q % 3 == 1
+    assert _case9(c, _evaluate(f16, c)) and f16.q % 3 == 1
     assert 9 not in match_summary_cases(f16, c)
     assert not is_apn_ddt(f16, c)
 
@@ -243,7 +242,7 @@ def test_case_predicates_require_their_regimes(f16):
         matched = set(match_summary_cases(f16, c))
         mul, frob = f16.mul, f16.frob_q
         if {5, 6} & matched:
-            assert h1_value(f16, c) == 0
+            assert _evaluate(f16, c).h1 == 0
             assert mul(c.B, frob(c.C)) ^ mul(frob(c.B), c.D) != 0
         if {9, 10, 11} & matched:
             assert mul(c.A, frob(c.D)) ^ c.C == 0
@@ -386,36 +385,28 @@ def test_shared_pass_scalar_matches_array():
                 assert [int(v[d, e]) for v in full] == [int(v) for v in s], (name, A, B, C, d, e)
 
 
-# -- the array form against the scalar oracle -------------------------------------
+# -- the one transcription against the scalar reference ---------------------------
 
 
 def _array_verdicts(ctx, tuples):
-    """Per tuple (matched cases, (kind, cases, reason)) from _match_array and
-    _verdict_array, evaluated on all tuples at once as coefficient columns."""
+    """Per tuple (matched cases, Verdict) from _cases and _rule, evaluated on
+    all tuples at once as coefficient columns."""
     c = Coeffs(*(np.array(col, dtype=np.uint16) for col in zip(*tuples)))
     actx = _ArrayField(ctx)
     s = _evaluate(actx, c)
-    m = _match_array(actx, c, s)
-    kind, reason = _verdict_array(c, s, m)
+    cases = _cases(actx, c, s)
+    rule = _rule(c, s, cases)
     out = []
     for i in range(len(tuples)):
-        matched = tuple(int(j) + 1 for j in np.flatnonzero(m[:, i]))
-        r = _REASONS[reason[i]]
-        if r == "c6-fails-iff":
-            cases = tuple(j for j in matched if j in (9, 10))
-        elif r in ("necessary-conditions", "c6-fails-iff-complement"):
-            cases = matched
-        elif r == "condition-C1" and _KINDS[kind[i]] == "apn":
-            cases = (1,)
-        else:
-            cases = ()
-        out.append((matched, (_KINDS[kind[i]], cases, r)))
+        matched = _matched(m[i] for m in cases)
+        out.append((matched, _verdict_of(int(rule[i]), matched)))
     return out
 
 
 def test_array_cases_and_verdicts_match_scalar():
-    # every case mask and every verdict of the array form equals scalar
-    # _match/_verdict: all of F4, and shaped samples at F16, F64 and F256
+    # the case clauses and the verdict, on ints and on arrays, equal the
+    # scalar reference match_scalar/verdict_scalar: all of F4, and shaped
+    # samples at F16, F64 and F256
     rng = random.Random(19)
     cases, reasons = set(), set()
     for name, count in (("F4", 0), ("F16", 3000), ("F64", 3000), ("F256", 2000)):
@@ -425,13 +416,15 @@ def test_array_cases_and_verdicts_match_scalar():
         else:
             tuples = list(shaped_tuples(ctx, rng, count))
         for c, (matched, verdict) in zip(tuples, _array_verdicts(ctx, tuples)):
-            v = predict_verdict(ctx, c)
-            assert matched == tuple(match_summary_cases(ctx, c)), (name, c)
-            assert verdict == (v.kind, v.cases, v.reason), (name, c)
+            s = _evaluate(ctx, c)
+            want_cases = tuple(match_scalar(ctx, c, s))
+            want = verdict_scalar(ctx, c, s)
+            assert matched == _matched(_cases(ctx, c, s)) == want_cases, (name, c)
+            assert verdict == predict_verdict(ctx, c) == want, (name, c)
             cases.update(matched)
-            reasons.add(v.reason)
+            reasons.add(want.reason)
     assert cases == set(range(1, 12))
-    assert reasons == set(_REASONS)
+    assert reasons == {reason for _, reason in _RULES}
 
 
 def test_reconcile_matches_scalar_reference(f4, f16, monkeypatch):
@@ -460,6 +453,6 @@ def test_reconcile_matches_scalar_reference(f4, f16, monkeypatch):
             seen.add("prop-reading-mismatch")
         if regime["summary-reading-matches"] < regime["size"]:
             seen.add("summary-reading-mismatch")
-    excluded = {"c6-fails-iff-complement", *_REASONS[5:]}  # the reasons of 'excluded'
+    excluded = {reason for kind, reason in _RULES if kind == "excluded"}
     assert {"c1", "c2", "case9", "case10",
             "prop-reading-mismatch", "summary-reading-mismatch", *excluded} <= seen
