@@ -175,7 +175,9 @@ def _keep(ctx: FieldCtx, c: Coeffs, filters: SearchFilters):
     """True where the tuple passes filters: a bool on ints, a mask on 1-D
     coefficient arrays (ctx an _ArrayField)."""
     s = _evaluate(ctx, c)
-    keep = np.logical_not(_closed_form_drop(s, c.A, filters))
+    # with no closed-form clause on, the drop is the scalar False: broadcast
+    # it to the input's shape so arrays always get a mask back
+    keep = np.logical_not(np.broadcast_to(_closed_form_drop(s, c.A, filters), np.shape(c.A)))
     if filters.cases or filters.prioritized:
         cases = _cases(ctx, c, s)
         if filters.cases:

@@ -326,25 +326,29 @@ class TheoryReport:
         }
 
 
-#: The verdict's rules as (kind, reason), in the order _rule decides them.
+#: The verdict's rules as (kind, reason, cites), in the order _rule decides
+#: them. cites names the cases a verdict of the rule cites: 'c1' case 1,
+#: 'iff' the matched ones of cases 9 and 10, 'matched' every matched case,
+#: None none.
 _RULES = (
-    ("apn", "condition-C1"),
-    ("not-apn", "condition-C1"),
-    ("not-apn", "condition-C2"),
-    ("apn", "c6-fails-iff"),
-    ("excluded", "c6-fails-iff-complement"),
-    ("candidate", "necessary-conditions"),
-    ("excluded", "generic-obstruction"),
-    ("excluded", "c6-fails-no-case"),
-    ("excluded", "gcd-regime-no-case"),
-    ("excluded", "c7-degenerate-no-case"),
-    ("excluded", "b0-collapsed-branch"),
-    ("excluded", "b0-nonzero-e"),
-    ("excluded", "b0-trace-branch"),
+    ("apn", "condition-C1", "c1"),
+    ("not-apn", "condition-C1", None),
+    ("not-apn", "condition-C2", None),
+    ("apn", "c6-fails-iff", "iff"),
+    ("excluded", "c6-fails-iff-complement", "matched"),
+    ("candidate", "necessary-conditions", "matched"),
+    ("excluded", "generic-obstruction", None),
+    ("excluded", "c6-fails-no-case", None),
+    ("excluded", "gcd-regime-no-case", None),
+    ("excluded", "c7-degenerate-no-case", None),
+    ("excluded", "b0-collapsed-branch", None),
+    ("excluded", "b0-nonzero-e", None),
+    ("excluded", "b0-trace-branch", None),
 )
-_C1_APN, _C1, _C2, _IFF, _IFF_COMPLEMENT, _NECESSARY = range(6)
+#: The rules reconcile counts by index.
+_C1_APN, _C1, _C2, _IFF = range(4)
 #: True for the rules of kind 'apn' or 'candidate', indexed by rule.
-_PROMISING = np.array([kind in ("apn", "candidate") for kind, _ in _RULES])
+_PROMISING = np.array([kind in ("apn", "candidate") for kind, _, _ in _RULES])
 
 
 def _rule(c: Coeffs, s: _Shared, cases: list):
@@ -368,15 +372,12 @@ def _rule(c: Coeffs, s: _Shared, cases: list):
 
 def _verdict_of(rule: int, matched: tuple[int, ...]) -> Verdict:
     """The Verdict of one tuple's rule, citing the cases its rule reads."""
-    kind, reason = _RULES[rule]
-    if rule == _C1_APN:
-        cited = (1,)
-    elif rule == _IFF:
-        cited = tuple(i for i in matched if i in (9, 10))
-    elif rule in (_IFF_COMPLEMENT, _NECESSARY):
-        cited = matched
-    else:
-        cited = ()
+    kind, reason, cites = _RULES[rule]
+    cited = {
+        "c1": (1,),
+        "iff": tuple(i for i in matched if i in (9, 10)),
+        "matched": matched,
+    }.get(cites, ())
     return Verdict(kind, cited, reason)
 
 
@@ -505,7 +506,7 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
     rep.contradictions_c1 += int(emp_rules[_C1])
     rep.contradictions_c2 = int(emp_rules[_C2])
     rep.exceptions_by_reason = {
-        reason: int(k) for (kind, reason), k in zip(_RULES, emp_rules) if kind == "excluded" and k
+        reason: int(k) for (kind, reason, _), k in zip(_RULES, emp_rules) if kind == "excluded" and k
     }
     rep.case9_regime = regime
     if regime["size"] == 0:

@@ -270,6 +270,25 @@ def test_random_output_pinned():
     assert digest.hexdigest() == RANDOM_DIGEST
 
 
+RANDOM_UNFILTERED_DIGEST = "dbe46d74b83d135ae9ae97a36f883a961677eb44c980faf566f9559a2314285b"
+
+
+def test_random_unfiltered_pinned():
+    # with no closed-form clause on (none) or only A != 0 the grouped filter
+    # still returns one mask entry per draw
+    digest = hashlib.sha256()
+    for field, text, seed, shards in itertools.product(("F16", "F64"), ("none", "a-nonzero"),
+                                                       (3, 7), (1, 3)):
+        res = run_random(SearchJob(NAMED_SPECS[field], "random", samples=24, seed=seed,
+                                   filters=parse_filters(text), shards=shards))
+        if text == "none":
+            assert res.counters["skipped_by_filter"] == 0
+        line = (field, text, seed, shards, [tuple(c) for c in res.apn_hits],
+                sorted(res.counters.items()))
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == RANDOM_UNFILTERED_DIGEST
+
+
 def test_random_sparse_filter_errors():
     # summary case 10 is empty at q=2 (it needs D^(q+1) != 1)
     from hexapn.search import _MAX_DRAWS_PER_SAMPLE

@@ -424,7 +424,7 @@ def test_array_cases_and_verdicts_match_scalar():
             cases.update(matched)
             reasons.add(want.reason)
     assert cases == set(range(1, 12))
-    assert reasons == {reason for _, reason in _RULES}
+    assert reasons == {reason for _, reason, _ in _RULES}
 
 
 def test_reconcile_matches_scalar_reference(f4, f16, monkeypatch):
@@ -453,6 +453,6 @@ def test_reconcile_matches_scalar_reference(f4, f16, monkeypatch):
             seen.add("prop-reading-mismatch")
         if regime["summary-reading-matches"] < regime["size"]:
             seen.add("summary-reading-mismatch")
-    excluded = {reason for kind, reason in _RULES if kind == "excluded"}
+    excluded = {reason for kind, reason, _ in _RULES if kind == "excluded"}
     assert {"c1", "c2", "case9", "case10",
             "prop-reading-mismatch", "summary-reading-mismatch", *excluded} <= seen
