@@ -3,12 +3,13 @@
 Two independent APN tests are provided: a DDT-based one (optionally with
 early row abort at count 4, the smallest possible violation in
 characteristic 2) and a direct test of the derivative equation in the
-(a, x) form. A vectorized block kernel backs the exhaustive search.
+(a, x) form. Vectorized, `apn_mask_batch` runs the early-abort DDT on any
+tuples and `apn_planes`, the 2-flat sieve, gives whole (D, E) planes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +120,19 @@ def is_permutation(ctx: FieldCtx, c: Coeffs) -> bool:
 # -- batch kernel ------------------------------------------------------------
 
 
+#: The 2-dim subspaces {0, u, v, u+v}, as apn_planes reads them. basis[s] =
+#: (u, v), u < v < u^v; sums[k, s] = x_k(u) + x_k(v) + x_k(u+v) for the six
+#: monomials in coefficient order. Subspace s strikes the line m_D D + m_E E =
+#: gamma: E = gamma/m_E + line_d[i] (line_d[i, D] = (m_D/m_E) D, line_inv =
+#: 1/m_E) where m_E != 0, and the row D = gamma/m_D (row_inv = 1/m_D) where
+#: m_E = m_B^2 = (u^q v + u v^q)^2 = 0. That is v = lu with l in GF(q), so
+#: m_D = u^(q+2)(l^2 + l) != 0 there.
+Flats = namedtuple("Flats", "basis sums lines line_inv line_d rows row_inv")
+
+
 class BatchTables:
-    """Per-field monomial tables reused across exhaustive blocks."""
+    """Per-field monomial tables reused across exhaustive blocks; the 2-flat
+    tables are built on first use of flats()."""
 
     def __init__(self, ctx: FieldCtx):
         n = ctx.size
@@ -138,6 +150,21 @@ class BatchTables:
         self.xq2 = mul[xq, x2]
         self.x2q2 = mul[x2q, x2]
         self.x3q = mul[x2q, xq]
+        self._flats = None
+
+    def flats(self) -> Flats:
+        if self._flats is None:
+            zs = np.arange(self.ctx.size)
+            u, v = np.nonzero((zs[:, None] > 0) & (zs[:, None] < zs) & (zs < zs[:, None] ^ zs))
+            mons = np.stack([self.x3, self.xq1, self.x2q1, self.xq2, self.x2q2, self.x3q])
+            m = mons[:, u] ^ mons[:, v] ^ mons[:, u ^ v]
+            inv = np.array([0, *map(self.ctx.inv, zs[1:].tolist())], dtype=np.uint16)
+            lines, rows = np.flatnonzero(m[4]), np.flatnonzero(m[4] == 0)
+            line_inv = inv[m[4, lines]]
+            line_d = self.mul[self.mul[m[3, lines], line_inv][:, None], zs]
+            self._flats = Flats(np.stack([u, v], axis=1).astype(np.uint16), m, lines,
+                                line_inv, line_d, rows, inv[m[3, rows]])
+        return self._flats
 
 
 def function_tables_batch(bt: BatchTables, A, B, C, D, E) -> np.ndarray:
@@ -176,3 +203,26 @@ def apn_mask_batch(bt: BatchTables, A, B, C, D, E) -> np.ndarray:
                 return mask
     mask[alive] = True
     return mask
+
+
+def apn_planes(bt: BatchTables, A, B, C) -> np.ndarray:
+    """Exact APN masks, indexed [block, D, E], of the (D, E) planes of the
+    (A, B, C) blocks given as equal-length arrays.
+
+    Every member is quadratic, so f is APN iff f(u) + f(v) + f(u+v) != 0 on
+    each 2-dim subspace (Nyberg, EUROCRYPT 1993). That sum is gamma + m_D D
+    + m_E E with gamma = m_A A + m_B B + m_C C + m_3q, one line of the plane
+    per subspace (see Flats). Index arrays hold blocks x S x N entries.
+    """
+    mul = bt.mul
+    n = bt.ctx.size
+    fl = bt.flats()
+    m = fl.sums
+    A, B, C = (np.asarray(z, dtype=np.intp)[:, None] for z in (A, B, C))
+    gamma = mul[A, m[0]] ^ mul[B, m[1]] ^ mul[C, m[2]] ^ m[5]
+    k = np.arange(len(gamma))[:, None]
+    plane = np.ones((len(gamma), n, n), dtype=bool)
+    e = mul[gamma[:, fl.lines], fl.line_inv][:, :, None] ^ fl.line_d
+    plane[k[:, :, None], np.arange(n), e] = False
+    plane[k, mul[gamma[:, fl.rows], fl.row_inv]] = False
+    return plane

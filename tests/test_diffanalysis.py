@@ -10,6 +10,7 @@ from hexapn.hexanomial import Coeffs, function_table
 from hexapn.diffanalysis import (
     BatchTables,
     apn_mask_batch,
+    apn_planes,
     ddt,
     ddt_csv,
     differential_profile,
@@ -152,3 +153,79 @@ def test_ddt_csv(f4):
     rows = [r.split(",") for r in text.strip().splitlines()]
     assert len(rows) == 4 and all(len(r) == 4 for r in rows)
     assert rows[0][0] == "4"
+
+
+def _blocks(n, blocks, rows=None):
+    """(A, B, C) blocks and their (D, E) tuples as uint16 columns, on the D
+    rows given (every row by default)."""
+    blocks = np.array(blocks, dtype=np.uint16)
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    d, e = np.meshgrid(rows, np.arange(n), indexing="ij")
+    cols = [np.repeat(z, d.size) for z in blocks.T]
+    cols += [np.tile(z.ravel(), len(blocks)).astype(np.uint16) for z in (d, e)]
+    return blocks.T, rows, cols
+
+
+def _assert_planes_match(bt, blocks, rows=None):
+    abc, rows, cols = _blocks(bt.ctx.size, blocks, rows)
+    planes = apn_planes(bt, *abc)
+    assert np.array_equal(planes[:, rows].ravel(), apn_mask_batch(bt, *cols))
+    return planes
+
+
+def test_flat_tables():
+    # one canonical basis per 2-dim subspace; the flat sums are those of the
+    # scalar function tables; m_E = 0 exactly on the subspaces v = lu with l
+    # in GF(q), and m_D is nonzero there
+    for name, lines, rows in (("F4", 1, 0), ("F16", 30, 5), ("F64", 588, 63)):
+        ctx = make_field(NAMED_SPECS[name])
+        fl = BatchTables(ctx).flats()
+        n = ctx.size
+        u, v = fl.basis.T.astype(int)
+        assert len(fl.basis) == (n - 1) * (n - 2) // 6 == lines + rows
+        assert (0 < u).all() and (u < v).all() and (v < u ^ v).all()
+        assert len(set(map(tuple, fl.basis.tolist()))) == len(fl.basis)
+        x3q = np.array(function_table(ctx, Coeffs(0, 0, 0, 0, 0)))
+        for k in range(6):
+            t = x3q if k == 5 else x3q ^ function_table(ctx, Coeffs(*np.eye(5, dtype=int)[k]))
+            assert np.array_equal(fl.sums[k], t[u] ^ t[v] ^ t[u ^ v]), (name, k)
+        ratio = [ctx.div(b, a) for a, b in zip(u.tolist(), v.tolist())]
+        assert np.array_equal(fl.sums[4] == 0, [ctx.frob_q(r) == r for r in ratio])
+        assert (len(fl.lines), len(fl.rows)) == (lines, rows)
+        assert (fl.sums[3, fl.rows] != 0).all()
+
+
+def test_apn_planes_match_kernel(f4, f16):
+    # the 2-flat sieve equals the early-abort DDT kernel, which is exact
+    rng = np.random.default_rng(11)
+    f64 = make_field(NAMED_SPECS["F64"])
+    f256 = make_field(NAMED_SPECS["F256"])
+    _assert_planes_match(BatchTables(f4), list(itertools.product(range(4), repeat=3)))
+    bt16 = BatchTables(f16)
+    blocks16 = rng.integers(0, 16, (256, 3))
+    _assert_planes_match(bt16, blocks16)
+    bt64 = BatchTables(f64)
+    blocks64 = np.concatenate([rng.integers(0, 64, (16, 3)), [(1, 1, c) for c in range(64)]])
+    planes64 = _assert_planes_match(bt64, blocks64)
+    assert planes64[16:].sum() > 0  # the BC blocks hold APN tuples
+    bt256 = BatchTables(f256)
+    for c in (3, 5):  # (1, 1, c) holds 240 APN tuples, all on the row D = c^q
+        rows = sorted({f256.frob_q(c), *rng.choice(256, 3, replace=False).tolist()})
+        planes = _assert_planes_match(bt256, [(1, 1, c)], rows)
+        assert planes.sum() == planes[0, f256.frob_q(c)].sum() == 240
+
+    # the row branch (m_E = 0) matters: without it the sieve passes non-APN tuples
+    for bt, blocks in ((bt16, blocks16), (bt64, blocks64)):
+        abc, _, _ = _blocks(bt.ctx.size, blocks)
+        no_rows = BatchTables(bt.ctx)
+        fl = no_rows.flats()
+        no_rows._flats = fl._replace(rows=fl.rows[:0], row_inv=fl.row_inv[:0])
+        assert (apn_planes(no_rows, *abc) & ~apn_planes(bt, *abc)).any()
+
+    # and the no-abort scalar DDT agrees on sampled APN and non-APN entries
+    abc, _, _ = _blocks(64, blocks64)
+    for flag in (True, False):
+        k, d, e = np.nonzero(planes64 == flag)
+        for i in rng.choice(len(k), 6, replace=False):
+            c = Coeffs(*(int(z) for z in abc[:, k[i]]), int(d[i]), int(e[i]))
+            assert is_apn_ddt(f64, c, early_abort=False) == flag, c

@@ -104,6 +104,27 @@ def test_exhaustive_shard_invariance_q4():
     assert one.apn_hits == four.apn_hits
 
 
+#: sha256 of the exhaustive hit indices and counters below, as computed when
+#: each (D, E) block's filter survivors went through the DDT kernel.
+EXHAUSTIVE_DIGEST = "b0a1b9aee99fc2a27200c48cb20fa1502a5fc7374a3207ccac1d1e6557eec046"
+EXHAUSTIVE_RUNS = [("F4", text) for text in ("none", "plain", "theory", "prioritized", "cases=5;6")]
+EXHAUSTIVE_RUNS += [("F16", text) for text in ("none", "theory", "cases=9;10")]
+
+
+def test_exhaustive_output_pinned():
+    # the 2-flat sieve over chunks of blocks finds the kernel's hits and
+    # keeps its counters, at every shard count
+    digest = hashlib.sha256()
+    for (field, text), shards in itertools.product(EXHAUSTIVE_RUNS, (1, 3)):
+        spec = NAMED_SPECS[field]
+        res = run_exhaustive(SearchJob(spec, "exhaustive", filters=parse_filters(text),
+                                       shards=shards), verify=False)
+        line = (field, text, shards, [tuple_index(c, spec.size) for c in res.apn_hits],
+                sorted(res.counters.items()))
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == EXHAUSTIVE_DIGEST
+
+
 EQUIVALENCE_FILTERS = [
     "theory", "plain", "none", "a-nonzero", "exclude-c1c2", "exclude-obstruction",
     "prioritized", "a-nonzero,prioritized", "cases=9;10",
