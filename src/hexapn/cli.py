@@ -351,8 +351,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "invariants" and not (args.tuple or args.hits):
         parser.error("invariants requires --tuple or --hits")
-    if args.command == "search" and args.mode == "random" and args.seed is None:
-        parser.error("random mode requires --seed")
     try:
         return args.func(args)
     except CliError as exc:

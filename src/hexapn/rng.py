@@ -11,7 +11,11 @@ mix(state0 + k * GOLDEN), where mix is two xor-multiply rounds:
 with GOLDEN = 0x9E3779B97F4A7C15 and all arithmetic mod 2^64. mix is a
 bijection on 64-bit words, so distinct counters never collide. Streams are
 addressed by sample index, which makes sharded runs produce byte-identical
-output for any shard count.
+output for any shard count. mix64 runs unchanged on ints and on numpy
+uint64 arrays (which wrap mod 2^64), and never writes into its argument.
+Stream64.below never rejects a power-of-two bound, so its k-th draw is then
+draw64(seed, j, k) mod the bound: random mode computes whole rounds of
+draws from their counters.
 """
 
 from __future__ import annotations
@@ -20,14 +24,19 @@ MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    z &= MASK
+def mix64(z):
+    z = z & MASK  # a copy: the in-place steps below never touch the caller's array
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & MASK
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & MASK
     z ^= z >> 31
     return z
+
+
+def draw64(seed: int, stream, counter):
+    """Stream64(seed, stream)'s word at `counter`, for ints or broadcasting uint64 arrays."""
+    return mix64(mix64((seed & MASK) ^ mix64((stream + 1) * GOLDEN)) + counter * GOLDEN)
 
 
 class Stream64:

@@ -147,6 +147,7 @@ def test_force_gate_only_where_read(capsys, tmp_path, cmd):
     ("--mode", "random", "--seed", "1", "--samples", "-5"),
     ("--mode", "exhaustive", "--seed", "5"),
     ("--mode", "exhaustive", "--samples", "7"),
+    ("--mode", "random", "--samples", "3"),
 ])
 def test_search_bad_sizes_are_usage_errors(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, "search", "--field", "F4", *argv, "--out", str(tmp_path))

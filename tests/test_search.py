@@ -47,7 +47,7 @@ def test_parse_filters():
     assert not f.exclude_c1c2
     with pytest.raises(ValueError):
         parse_filters("bogus-token")
-    for text in ("cases=0", "cases=12", "cases=5;12"):
+    for text in ("cases=0", "cases=12", "cases=5;12", "cases=", "cases=;"):
         with pytest.raises(ValueError):
             parse_filters(text)
 
