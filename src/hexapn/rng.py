@@ -11,11 +11,8 @@ mix(state0 + k * GOLDEN), where mix is two xor-multiply rounds:
 with GOLDEN = 0x9E3779B97F4A7C15 and all arithmetic mod 2^64. mix is a
 bijection on 64-bit words, so distinct counters never collide. Streams are
 addressed by sample index, which makes sharded runs produce byte-identical
-output for any shard count. mix64 runs unchanged on ints and on numpy
-uint64 arrays (which wrap mod 2^64), and never writes into its argument.
-Stream64.below never rejects a power-of-two bound, so its k-th draw is then
-draw64(seed, j, k) mod the bound: random mode computes whole rounds of
-draws from their counters.
+output for any shard count. mix64 also runs on numpy uint64 arrays and never
+writes into its argument; below never rejects a power-of-two bound.
 """
 
 from __future__ import annotations
@@ -32,11 +29,6 @@ def mix64(z):
     z = (z * 0x94D049BB133111EB) & MASK
     z ^= z >> 31
     return z
-
-
-def draw64(seed: int, stream, counter):
-    """Stream64(seed, stream)'s word at `counter`, for ints or broadcasting uint64 arrays."""
-    return mix64(mix64((seed & MASK) ^ mix64((stream + 1) * GOLDEN)) + counter * GOLDEN)
 
 
 class Stream64:

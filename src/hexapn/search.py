@@ -5,13 +5,12 @@ the 2-flat sieve (diffanalysis.apn_planes); it is deterministically
 shardable: shards split the block range, and results are independent of
 the shard count. Random mode draws tuples from counter-mode streams
 addressed by sample index (see rng), which again makes the output
-independent of sharding; it computes rounds of draws from their counters
-as uint64 arrays, each sample keeps its first draw that passes the
-filters, and apn_mask_batch tests the kept draws. Both modes and
-passes_filters filter through one `_keep`, which runs the theory's clauses
-on ints or on coefficient arrays: the sweep on each chunk's survivors of
-its broadcast closed-form masks, random mode on each round of draws.
-Shards run on at most os.cpu_count() processes.
+independent of sharding; each sample keeps its stream's first draw that
+passes the filters, and apn_mask_batch tests the kept draws. Both modes
+and passes_filters filter through one `_keep`, which runs the theory's
+clauses on ints or on coefficient arrays: the sweep on each chunk's
+survivors of its broadcast closed-form masks, random mode on groups of
+draws. Shards run on at most os.cpu_count() processes.
 
 Filter presets:
   theory A != 0, drop C1/C2, drop the generic obstruction (C6 with h1 != 0).
@@ -48,7 +47,7 @@ from .diffanalysis import (
     is_apn_ddt,
     is_apn_equation,
 )
-from .rng import draw64
+from .rng import Stream64
 from .theory import _PROMISING, _ArrayField, _cases, _evaluate, _rule
 
 EXHAUSTIVE_GATE_BITS = 30  # (q^2)^5 <= 2^30, i.e. q <= 8
@@ -252,9 +251,8 @@ def _run(job: SearchJob, worker, total: int, verify: bool) -> SearchResult:
 # -- exhaustive ----------------------------------------------------------------
 
 
-#: Tuples in one sweep chunk of whole blocks (at least one), and the most
-#: draws in one random-mode round. A sweep chunk's apn_planes line indices
-#: then hold 35,840 entries at F16 and 166,656 at F64.
+#: Tuples in one sweep chunk of whole blocks (at least one): apn_planes' line
+#: indices then hold 35,840 entries at F16 and 166,656 at F64.
 _CHUNK_TUPLES = 1 << 14
 
 
@@ -316,40 +314,49 @@ def run_exhaustive(job: SearchJob, verify: bool = True) -> SearchResult:
 # -- random --------------------------------------------------------------------
 
 _MAX_DRAWS_PER_SAMPLE = 1_000_000
+#: Random mode filters the draws of _GROUP_SAMPLES samples, _GROUP_DRAWS
+#: draws each, in one array call; _GROUP_DRAWS divides _MAX_DRAWS_PER_SAMPLE.
+_GROUP_SAMPLES = 16
+_GROUP_DRAWS = 250
 
 
 def _random_worker(args):
-    """Samples [lo, hi) in groups of at most _CHUNK_TUPLES. Sample j keeps the
-    first draw of stream (seed, j) that passes the filters, so the draws it
-    rejected are that draw's index. Draw k is draw64(seed, j, k) mod N^5 (see
-    rng), so each round filters up to _CHUNK_TUPLES draws of the pending
-    samples in one array call and APN-tests the kept tuples together."""
+    """Samples [lo, hi) in groups. Sample j keeps the first draw of stream
+    (seed, j) that passes the filters, so the draws it rejected are that
+    draw's index; the kept tuples are APN-tested together."""
     job, lo, hi = args
     ctx = make_field(job.field)
     actx = _ArrayField(ctx)
     bt = BatchTables(ctx)
     n = ctx.size
-    shifts = np.array([4, 3, 2, 1, 0], dtype=np.uint64) * job.field.degree
+    n5 = n ** 5
+    digits = n ** np.arange(4, -1, -1, dtype=np.int64)  # tuple index -> (A, B, C, D, E)
     hits = []
     rejected = 0
-    for first in range(lo, hi, _CHUNK_TUPLES):
-        pending = np.arange(first, min(first + _CHUNK_TUPLES, hi), dtype=np.uint64)
-        drawn = 0
-        while pending.size and drawn < _MAX_DRAWS_PER_SAMPLE:
-            step = min(_CHUNK_TUPLES // pending.size, _MAX_DRAWS_PER_SAMPLE - drawn)
-            counters = np.arange(drawn, drawn + step, dtype=np.uint64)
-            idx = draw64(job.seed, pending[:, None], counters) & (n ** 5 - 1)
-            cols = ((idx[..., None] >> shifts) & (n - 1)).astype(np.uint16)  # (A, B, C, D, E)
-            keep = _keep(actx, Coeffs(*cols.reshape(-1, 5).T), job.filters).reshape(idx.shape)
-            done = keep.any(axis=1)
-            k = keep.argmax(axis=1)[done]
-            rejected += drawn * k.size + int(k.sum())
-            hits.extend(idx[done, k][apn_mask_batch(bt, *cols[done, k].T)].tolist())
-            pending = pending[~done]
-            drawn += step
-        if pending.size:
-            raise SearchGateError(f"filter region too sparse: {_MAX_DRAWS_PER_SAMPLE} draws "
-                                  f"rejected for sample {int(pending[0])}")
+    for first in range(lo, hi, _GROUP_SAMPLES):
+        streams = {j: Stream64(job.seed, j) for j in range(first, min(first + _GROUP_SAMPLES, hi))}
+        kept = []
+        for drawn in range(0, _MAX_DRAWS_PER_SAMPLE, _GROUP_DRAWS):
+            if not streams:
+                break
+            draws = np.array([[st.below(n5) for _ in range(_GROUP_DRAWS)]
+                              for st in streams.values()], dtype=np.int64)
+            cols = (draws[..., None] // digits % n).astype(np.uint16).reshape(-1, 5).T
+            keep = _keep(actx, Coeffs(*cols), job.filters).reshape(draws.shape)
+            for row, j in enumerate(list(streams)):
+                if keep[row].any():
+                    k = int(keep[row].argmax())
+                    kept.append(draws[row, k])
+                    rejected += drawn + k
+                    del streams[j]
+        if streams:
+            raise SearchGateError(
+                f"filter region too sparse: {_MAX_DRAWS_PER_SAMPLE} draws rejected "
+                f"for sample {min(streams)}"
+            )
+        idx = np.array(kept, dtype=np.int64)
+        cols = (idx[:, None] // digits % n).astype(np.uint16).T
+        hits.extend(int(i) for i in idx[apn_mask_batch(bt, *cols)])
     return hits, hi - lo, rejected
 
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from hexapn.rng import GOLDEN, MASK, Stream64, draw64, mix64
+from hexapn.rng import GOLDEN, MASK, Stream64, mix64
 
 # a scalar numpy uint64 overflow would only warn; make it fail instead
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -29,17 +29,15 @@ def test_mix64_array_matches_int():
 
 
 @pytest.mark.parametrize("n", [4, 16, 64, 256, 1024])
-def test_draw64_is_below_for_tuple_indices(n):
-    # random mode draws tuple indices as draw64(...) mod N^5; N^5 divides 2^64,
-    # so Stream64.below(N^5) never rejects and consumes one counter a draw
+def test_below_tuple_indices_are_counter_words(n):
+    # N^5 divides 2^64, so Stream64.below(N^5) never rejects: draw k is the
+    # mixed counter word k mod N^5, and a whole row of draws is one array mix64
     n5 = n ** 5
     rng = random.Random(n)
     counters = np.arange(300, dtype=np.uint64)
     for seed in (0, 123457, -1, -(1 << 40) - 3, 1 << 63, MASK):
-        streams = [0, 1, rng.randrange(1000), rng.randrange(1 << 20), rng.randrange(1 << 63),
-                   MASK]
-        got = draw64(seed, np.array(streams, dtype=np.uint64)[:, None], counters) & (n5 - 1)
-        assert got.dtype == np.uint64
-        for j, row in zip(streams, got.tolist()):
+        for j in (0, 1, rng.randrange(1000), rng.randrange(1 << 20), rng.randrange(1 << 63), MASK):
             st = Stream64(seed, j)
-            assert row == [st.below(n5) for _ in range(300)], (seed, j)
+            got = mix64(np.uint64(st.state0) + counters * np.uint64(GOLDEN)) & np.uint64(n5 - 1)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [st.below(n5) for _ in range(300)], (seed, j)
