@@ -68,20 +68,13 @@ def differential_profile_table(ctx: FieldCtx, f: list[int]) -> DiffProfile:
 def is_apn_ddt(ctx: FieldCtx, c: Coeffs, early_abort: bool = True) -> bool:
     """True iff every DDT row (a != 0) has maximum 2.
 
-    With early_abort, a row is abandoned as soon as any count reaches 4.
+    With early_abort, the rows stop at the first whose maximum exceeds 2
+    (DDT entries are even, so that maximum is at least 4).
     """
     f = function_table(ctx, c)
     if not early_abort:
         return differential_profile_table(ctx, f).is_apn
-    n = ctx.size
-    for a in range(1, n):
-        counts = [0] * n
-        for x in range(n):
-            b = f[x ^ a] ^ f[x]
-            counts[b] += 1
-            if counts[b] >= 4:
-                return False
-    return True
+    return all(max(row) <= 2 for row in _ddt_rows(f))
 
 
 def is_apn_equation(ctx: FieldCtx, c: Coeffs) -> bool:

@@ -8,9 +8,9 @@ addressed by sample index (see rng), which again makes the output
 independent of sharding; each sample keeps its stream's first draw that
 passes the filters, and apn_mask_batch tests the kept draws. Both modes
 and passes_filters filter through one `_keep`, which runs the theory's
-clauses on ints or on coefficient arrays: the sweep on each chunk's
-survivors of its broadcast closed-form masks, random mode on groups of
-draws. Shards run on at most os.cpu_count() processes.
+clauses on ints or on coefficient arrays of any broadcast shape: once on
+each sweep chunk's (blocks, D, E) cube, once on each random group's
+(samples, draws) grid. Shards run on at most os.cpu_count() processes.
 
 Filter presets:
   theory A != 0, drop C1/C2, drop the generic obstruction (C6 with h1 != 0).
@@ -155,30 +155,20 @@ def index_tuple(idx: int, n: int) -> Coeffs:
     return Coeffs(idx, b, cc, d, e)
 
 
-def _closed_form_drop(s, A, filters: SearchFilters):
-    """True where the A != 0, C1/C2 or obstruction clause drops the tuple.
-
-    s is the theory's shared evaluation of the tuple. Works on ints and, when
-    s was evaluated through an _ArrayField context, on coefficient arrays
-    that broadcast against each other.
-    """
+def _keep(ctx: FieldCtx, c: Coeffs, filters: SearchFilters):
+    """True where the tuple passes filters: a bool on ints, and a mask of the
+    broadcast shape on coefficient arrays (ctx an _ArrayField)."""
+    s = _evaluate(ctx, c)
     drop = False
     if filters.require_a_nonzero:
-        drop = drop | (A == 0)
+        drop = drop | (c.A == 0)
     if filters.exclude_c1c2:
         drop = drop | s.c1 | s.c2
     if filters.exclude_obstruction:
         drop = drop | (s.c6 & (s.h1 != 0))
-    return drop
-
-
-def _keep(ctx: FieldCtx, c: Coeffs, filters: SearchFilters):
-    """True where the tuple passes filters: a bool on ints, a mask on 1-D
-    coefficient arrays (ctx an _ArrayField)."""
-    s = _evaluate(ctx, c)
-    # with no closed-form clause on, the drop is the scalar False: broadcast
-    # it to the input's shape so arrays always get a mask back
-    keep = np.logical_not(np.broadcast_to(_closed_form_drop(s, c.A, filters), np.shape(c.A)))
+    # drop may be the scalar False or span fewer axes than the tuple (A == 0
+    # on a cube): broadcast it so arrays always get a full-shape mask back
+    keep = np.logical_not(np.broadcast_to(drop, np.broadcast_shapes(*map(np.shape, c))))
     if filters.cases or filters.prioritized:
         cases = _cases(ctx, c, s)
         if filters.cases:
@@ -208,19 +198,19 @@ def _count_permutations(ctx: FieldCtx, hits: list[Coeffs]) -> int:
 def _run(job: SearchJob, worker, total: int, verify: bool) -> SearchResult:
     """Map worker over the shards, then merge, re-verify and count.
 
-    worker(job, lo, hi) runs one of job.shards contiguous parts of
-    range(total) and returns (hit indices, tested, skipped_by_filter). The
-    shard count alone fixes the partition; at most os.cpu_count() processes
-    run the parts.
+    worker(job, lo, hi) runs one of min(job.shards, total) contiguous parts
+    of range(total), at least one, and returns (hit indices, tested,
+    skipped_by_filter). The shard count alone fixes the partition; at most
+    os.cpu_count() processes run the parts.
     """
     ctx = make_field(job.field)
     t0 = time.time()
-    bounds = [total * i // job.shards for i in range(job.shards + 1)]
-    args = [(job, bounds[i], bounds[i + 1]) for i in range(job.shards)]
-    if job.shards == 1:
+    n_parts = max(1, min(job.shards, total))
+    args = [(job, total * i // n_parts, total * (i + 1) // n_parts) for i in range(n_parts)]
+    if n_parts == 1:
         parts = [worker(args[0])]
     else:
-        with ProcessPoolExecutor(max_workers=min(job.shards, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_parts, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(worker, args))
     hit_lists, tested, skipped = zip(*parts)
     n = ctx.size
@@ -258,32 +248,22 @@ _CHUNK_TUPLES = 1 << 14
 
 def _sweep_blocks(ctx: FieldCtx, lo: int, hi: int, filters: SearchFilters):
     """Run blocks [lo, hi) of the (A, B, C) range in chunks; returns (hits,
-    tested, skipped). Closed-form masks broadcast over a chunk's (blocks, D, E)
-    cube, `_keep` runs on their survivors under prioritized/cases=, and the
-    hits are the kept tuples apn_planes marks APN."""
+    tested, skipped). One `_keep` call masks a chunk's whole (blocks, D, E)
+    cube, and the hits are the kept tuples apn_planes marks APN."""
     n = ctx.size
     bt = BatchTables(ctx)
     actx = _ArrayField(ctx)
     zs = np.arange(n, dtype=np.uint16)
-    closed = filters.exclude_c1c2 or filters.exclude_obstruction
-    rescan = filters.prioritized or bool(filters.cases)
     step = max(1, _CHUNK_TUPLES // n ** 2)
     hits: list[int] = []
     tested = 0
     for first in range(lo, hi, step):
         blk = np.arange(first, min(first + step, hi))
         A, B, C = (z.astype(np.uint16) for z in (blk // n ** 2, blk // n % n, blk % n))
-        cube = Coeffs(*(z[:, None, None] for z in (A, B, C)), zs[:, None], zs)
-        s = _evaluate(actx, cube) if closed else None
-        drop = np.broadcast_to(_closed_form_drop(s, cube.A, filters), (blk.size, n, n))
-        idx = np.flatnonzero(~drop)
-        if rescan and idx.size:
-            b, de = np.divmod(idx, n * n)
-            c = Coeffs(A[b], B[b], C[b], *(z.astype(np.uint16) for z in np.divmod(de, n)))
-            idx = idx[_keep(actx, c, filters)]
-        tested += idx.size
-        apn = apn_planes(bt, A, B, C).ravel()[idx]
-        hits.extend((first * n ** 2 + idx[apn]).tolist())
+        cube = Coeffs(A[:, None, None], B[:, None, None], C[:, None, None], zs[:, None], zs)
+        keep = _keep(actx, cube, filters)
+        tested += int(np.count_nonzero(keep))
+        hits.extend((first * n ** 2 + np.flatnonzero(keep & apn_planes(bt, A, B, C))).tolist())
     return hits, tested, (hi - lo) * n ** 2 - tested
 
 
@@ -341,8 +321,8 @@ def _random_worker(args):
                 break
             draws = np.array([[st.below(n5) for _ in range(_GROUP_DRAWS)]
                               for st in streams.values()], dtype=np.int64)
-            cols = (draws[..., None] // digits % n).astype(np.uint16).reshape(-1, 5).T
-            keep = _keep(actx, Coeffs(*cols), job.filters).reshape(draws.shape)
+            keep = _keep(actx, Coeffs(*(draws // digits[:, None, None] % n).astype(np.uint16)),
+                         job.filters)
             for row, j in enumerate(list(streams)):
                 if keep[row].any():
                     k = int(keep[row].argmax())
@@ -355,8 +335,8 @@ def _random_worker(args):
                 f"for sample {min(streams)}"
             )
         idx = np.array(kept, dtype=np.int64)
-        cols = (idx[:, None] // digits % n).astype(np.uint16).T
-        hits.extend(int(i) for i in idx[apn_mask_batch(bt, *cols)])
+        apn = apn_mask_batch(bt, *(idx // digits[:, None] % n).astype(np.uint16))
+        hits.extend(int(i) for i in idx[apn])
     return hits, hi - lo, rejected
 
 

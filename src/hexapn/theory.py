@@ -23,15 +23,16 @@ propositions and evaluated both ways where relevant:
 
 The case clauses (`_cases`) and the verdict's ordered rule list (`_rule`)
 are written once, branch-free like `_evaluate`. The same code runs on ints
-through a FieldCtx and on 1-D coefficient arrays through an `_ArrayField`,
-whose operations index numpy tables; `_evaluate` also takes coefficient
-arrays that broadcast against each other, which the exhaustive search's
-closed-form filter masks use. p1/p2 and the two cubic root scans run
-through `_where`: a plain conditional on ints, and on arrays an evaluation
-on the index subset of their branch only. `predict_verdict`, `analyze`,
-hit records and `passes_filters` read the clauses on ints; `reconcile` and
-both search modes read them on arrays. Tests hold both against the scalar
-reference transcription kept in tests/oracles.py.
+through a FieldCtx and, through an `_ArrayField` whose operations index
+numpy tables, on coefficient arrays of any shapes that broadcast against
+each other: reconcile's 1-D columns, the exhaustive sweep's (blocks, D, E)
+cubes and random mode's (samples, draws) grids. p1/p2 and the two cubic
+root scans run through `_where`: a plain conditional on ints, and on arrays
+an evaluation on the index subset of their branch only, gathered from the
+broadcast coefficients. `predict_verdict`, `analyze`, hit records and
+`passes_filters` read the clauses on ints; `reconcile` and both search
+modes read them on arrays. Tests hold both against the scalar reference
+transcription kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -215,26 +216,23 @@ def _cd_cubic(c: Coeffs) -> list[int]:
     return [1, c.C, c.D, c.A]
 
 
-def _take(c: Coeffs, idx) -> Coeffs:
-    return Coeffs(*(v[idx] for v in c))
-
-
 def _where(ctx: FieldCtx, mask, c: Coeffs, test):
     """test(ctx, c) where mask holds, False elsewhere. On ints this is a plain
-    conditional; on 1-D arrays test runs on the index subset of mask only."""
+    conditional; on arrays, mask has the coefficients' broadcast shape and
+    test runs on the 1-D index subset of mask only."""
     if not isinstance(mask, np.ndarray):
         return bool(mask and test(ctx, c))
-    idx = np.flatnonzero(mask)
+    idx = np.nonzero(mask)
     out = np.zeros(mask.shape, dtype=bool)
-    out[idx] = test(ctx, _take(c, idx))
+    out[idx] = test(ctx, Coeffs(*(np.broadcast_to(v, mask.shape)[idx] for v in c)))
     return out
 
 
 def _cases(ctx: FieldCtx, c: Coeffs, s: _Shared, cd=None, c7=None, p12=None) -> list:
     """The masks of summary cases 1..11 in order: bools on ints, bool arrays
-    on 1-D coefficient arrays. On ints, cd and c7 are the root scans of
-    _cd_cubic and case7_cubic and p12 is p1_p2_values, when the caller has
-    them already."""
+    on coefficient arrays that broadcast against each other. On ints, cd
+    and c7 are the root scans of _cd_cubic and case7_cubic and p12 is
+    p1_p2_values, when the caller has them already."""
     mul, q = ctx.mul, ctx.q
     A, B, C, D, E = c
     be = mul(B, s.Eq) ^ mul(s.Bq, E)  # BE^q + B^q E
@@ -354,7 +352,7 @@ _PROMISING = np.array([kind in ("apn", "candidate") for kind, _, _ in _RULES])
 def _rule(c: Coeffs, s: _Shared, cases: list):
     """The index into _RULES of the verdict: the first rule whose condition
     holds, the last when none does. An int on ints (cases from _cases), an
-    index array on 1-D coefficient arrays."""
+    index array of the broadcast shape on coefficient arrays."""
     bn = c.B != 0
     obstructed = bn & (s.h1 != 0)
     # the C6-failure branch with AB^q + B != 0 and AE^q + E = 0 is decided

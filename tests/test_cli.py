@@ -156,9 +156,11 @@ def test_search_bad_sizes_are_usage_errors(capsys, tmp_path, argv):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the number
+    of parts mapped, runs in-process."""
 
     seen: list[int] = []
+    parts: list[int] = []
 
     def __init__(self, max_workers):
         self.seen.append(max_workers)
@@ -170,6 +172,8 @@ class _InlinePool:
         return False
 
     def map(self, fn, args):
+        args = list(args)
+        self.parts.append(len(args))
         return map(fn, args)
 
 
@@ -177,8 +181,11 @@ def test_search_workers_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     _InlinePool.seen.clear()
+    _InlinePool.parts.clear()
     manifests = {}
-    for shards in ("1", "3"):
+    # F4 has 64 (A, B, C) blocks: 10000 shards split into 64 parts, and the
+    # manifest keeps the requested count
+    for shards in ("1", "3", "10000"):
         out = tmp_path / shards
         code, _, _ = run_cli(capsys, "search", "--field", "F4", "--shards", shards,
                              "--out", str(out))
@@ -189,8 +196,9 @@ def test_search_workers_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
         manifests[shards] = m
         hits = (out / "search_f4_exhaustive_hits.jsonl").read_bytes()
         manifests[shards]["hits"] = hits
-    assert _InlinePool.seen == [2]  # three shards, two workers
-    assert manifests["1"] == manifests["3"]
+    assert _InlinePool.seen == [2, 2]  # two workers at most
+    assert _InlinePool.parts == [3, 64]
+    assert manifests["1"] == manifests["3"] == manifests["10000"]
 
 
 @pytest.mark.parametrize("line", [

@@ -104,11 +104,17 @@ def test_exhaustive_shard_invariance_q4():
     assert one.apn_hits == four.apn_hits
 
 
-#: sha256 of the exhaustive hit indices and counters below, as computed when
-#: each (D, E) block's filter survivors went through the DDT kernel.
-EXHAUSTIVE_DIGEST = "b0a1b9aee99fc2a27200c48cb20fa1502a5fc7374a3207ccac1d1e6557eec046"
+#: sha256 of the exhaustive hit indices and counters below. The first eight
+#: runs were pinned when each (D, E) block's filter survivors went through
+#: the DDT kernel; the digest was recomputed with the two F16 runs that
+#: combine closed-form clauses with prioritized/cases= added, while the
+#: sweep still masked closed-form clauses and theory clauses in two stages.
+EXHAUSTIVE_DIGEST = "3faede08d6031e0d5bcb0a3d2d91915839eec02be33c77c51bdff4a53035c4f1"
 EXHAUSTIVE_RUNS = [("F4", text) for text in ("none", "plain", "theory", "prioritized", "cases=5;6")]
-EXHAUSTIVE_RUNS += [("F16", text) for text in ("none", "theory", "cases=9;10")]
+EXHAUSTIVE_RUNS += [("F16", text) for text in (
+    "none", "theory", "cases=9;10",
+    "a-nonzero,exclude-c1c2,exclude-obstruction,prioritized", "exclude-obstruction,cases=9;10",
+)]
 
 
 def test_exhaustive_output_pinned():
@@ -128,6 +134,7 @@ def test_exhaustive_output_pinned():
 EQUIVALENCE_FILTERS = [
     "theory", "plain", "none", "a-nonzero", "exclude-c1c2", "exclude-obstruction",
     "prioritized", "a-nonzero,prioritized", "cases=9;10",
+    "exclude-c1c2,exclude-obstruction,prioritized", "a-nonzero,exclude-c1c2,cases=9;10",
 ]
 
 
@@ -164,7 +171,8 @@ def test_exhaustive_obstruction_filter_matches_scalar_oracle_q4():
     assert res.counters["apn"] == 30116
 
 
-@pytest.mark.parametrize("text", ["prioritized", "cases=5;6", "a-nonzero,prioritized"])
+@pytest.mark.parametrize("text", ["prioritized", "cases=5;6", "a-nonzero,prioritized",
+                                  "exclude-c1c2,exclude-obstruction,prioritized"])
 def test_sweep_theory_filters_match_scalar_oracle_q4(text):
     # the sweep's array-form verdicts and cases keep exactly the tuples that
     # the scalar reference keeps, tuple by tuple, on F16 blocks with A = 0
@@ -186,7 +194,8 @@ def test_sweep_theory_filters_match_scalar_oracle_q4(text):
         assert (tested, skipped) == (len(kept), 256 - len(kept))
         assert hits == [i for i in kept if is_apn_ddt(ctx, index_tuple(i, 16))]
         kept_total += len(kept)
-    assert kept_total == {"prioritized": 949, "cases=5;6": 620, "a-nonzero,prioritized": 796}[text]
+    assert kept_total == {"prioritized": 949, "cases=5;6": 620, "a-nonzero,prioritized": 796,
+                          "exclude-c1c2,exclude-obstruction,prioritized": 949}[text]
 
 
 def test_exhaustive_hits_verified():
