@@ -290,12 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, tuple_arg=True):
+    def add_common(sp):
         sp.add_argument("--field", required=True,
                         help="field spec: F4|F16|F64|F256 or gf2:<2m>:<modulus-hex>")
-        if tuple_arg:
-            sp.add_argument("--tuple", required=True,
-                            help="five elements A,B,C,D,E as a^k / 0 / 1 / 0x-hex")
+        sp.add_argument("--tuple", required=True,
+                        help="five elements A,B,C,D,E as a^k / 0 / 1 / 0x-hex")
         sp.add_argument("--out", help="output directory (default $HEXAPN_OUT or .)")
 
     sp = sub.add_parser("search", help="exhaustive or seeded-random APN search")

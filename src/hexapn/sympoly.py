@@ -618,29 +618,17 @@ def rational_point_scan(
     return int(idx.size), samples
 
 
-# -- the gcd tests of the regime census ---------------------------------------
+# -- the gcd of the regime census ---------------------------------------------
 
 
-def gcd_trivial(ctx: FieldCtx, c: Coeffs) -> bool:
-    """gcd(a2, a0) = 1, tested as gcd(g3, g1) = gcd(g3, g2) = 1.
+def regime_gcd(ctx: FieldCtx, c: Coeffs) -> MPoly:
+    """gcd(g3, g1) * gcd(g3, g2), which stands in for gcd(a2, a0) = gcd(g3^2, g1 g2).
 
-    a2 = g3^2 and a0 = g1 g2, so the two forms agree. g3 = 0 counts as a
-    nontrivial gcd: gcd(0, g1) = g1, which is never constant in the regime.
+    A shared irreducible factor of g3^2 and g1 g2 divides g3 and one of g1,
+    g2, so the product is constant exactly when gcd(a2, a0) = 1 and vanishes
+    exactly where gcd(a2, a0) does. g3 = 0 gives g1 g2, never constant in the
+    regime (the Z0 coefficient of g1 is (BC^q + B^qD)^q != 0).
     """
     g1, g2 = g1_g2_displays(ctx, c)
     g3 = _g_display_brackets(ctx, c)[0]
-    return (
-        gcd_bivariate(g3, g1).total_degree() <= 0
-        and gcd_bivariate(g3, g2).total_degree() <= 0
-    )
-
-
-def gcd_curve_has_points(ctx: FieldCtx, c: Coeffs) -> bool:
-    """True iff G = gcd(a2, a0) = 0 has an off-plane phi-fixed point.
-
-    For a regime tuple, where X1 can always be eliminated.
-    """
-    vs = build_variety_system(ctx, c)
-    ell = gcd_bivariate(vs.a2, vs.a0)
-    count, _ = rational_point_scan(ctx, [vs.G, ell], force=True)
-    return count > 0
+    return gcd_bivariate(g3, g1) * gcd_bivariate(g3, g2)

@@ -18,8 +18,8 @@ from hexapn.sympoly import (
     build_g,
     build_variety_system,
     gcd_bivariate,
-    gcd_trivial,
     rational_point_scan,
+    regime_gcd,
 )
 from hexapn.search import regime_tuples
 
@@ -282,9 +282,33 @@ def test_gcd_triviality_matches_resultant_oracle_q2_regime(f4):
         g3_zero += g3.is_zero()
         for g in (g1, g2):
             assert (gcd_bivariate(g3, g).total_degree() > 0) == gcd_nontrivial(g3, g), c
-        # the one gcd-triviality test, against gcd(a2, a0) = gcd(g3^2, g1 g2)
-        assert gcd_trivial(f4, c) == (not gcd_a2_a0_nontrivial(f4, c)), c
+        # the census's gcd, against gcd(a2, a0) = gcd(g3^2, g1 g2)
+        assert (regime_gcd(f4, c).total_degree() <= 0) == (not gcd_a2_a0_nontrivial(f4, c)), c
     assert g3_zero == 36
+
+
+def _scans_agree(ctx, tuples):
+    # regime_gcd and gcd(a2, a0) of the verified system cut out the same
+    # points on G = 0; returns the scan counts
+    counts = []
+    for c in tuples:
+        vs = build_variety_system(ctx, c)
+        ref, _ = rational_point_scan(ctx, [vs.G, gcd_bivariate(vs.a2, vs.a0)], force=True)
+        got, _ = rational_point_scan(ctx, [build_g(ctx, c)[2], regime_gcd(ctx, c)], force=True)
+        assert got == ref, c
+        counts.append(ref)
+    return counts
+
+
+def test_regime_gcd_scan_matches_a2_a0_gcd(f4, f16):
+    nontrivial = [c for c in regime_tuples(f4) if gcd_a2_a0_nontrivial(f4, c)]
+    assert len(nontrivial) == 240
+    counts = _scans_agree(f4, nontrivial)
+    assert 0 in counts and max(counts) > 0  # exceptional and generic both met
+    rng = random.Random(11)
+    sample = [c for c in rng.sample(regime_tuples(f16), 400) if gcd_a2_a0_nontrivial(f16, c)]
+    assert len(sample) >= 100
+    _scans_agree(f16, sample[:120])
 
 
 def test_evaluated_resultant_matches_symbolic_q4(f16):
