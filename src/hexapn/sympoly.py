@@ -8,6 +8,14 @@ combination G, and the X1-eliminated form Gbar together with its factor
 data (a2, a1, a0, g1, g2, g3). All stated factorization identities are
 verified at construction time.
 
+F1 and F2 are transcribed verbatim from the paper. The displays of G, g1 and
+g2 are not: each of their coefficients is a bracket of one
+`theory._evaluate` (AE^q + E, AD^q + C, AC^q + D, AB^q + B, BC^q + B^qD,
+sigma, BE^q + B^qE, C^qE + DE^q and the norms) or its Frobenius image, and
+the X1 bracket of G is Z0 g1. So the identities that `build_variety_system`
+verifies against F1 and F2 also check the brackets every theory filter, case
+clause and verdict reads.
+
 Bivariate gcds (for the a2/a0 common-factor criterion) use a primitive
 pseudo-remainder sequence over GF(q^2)[Z1].
 """
@@ -20,6 +28,7 @@ import numpy as np
 
 from .field import FieldCtx
 from .hexanomial import Coeffs
+from .theory import _evaluate, cond_C1_C2
 
 VARS = ("X0", "X1", "Z0", "Z1")
 X0, X1, Z0, Z1 = 0, 1, 2, 3
@@ -234,47 +243,38 @@ def build_f1_f2(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly]:
     return f1, f2
 
 
-def _g_display_brackets(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly, MPoly]:
-    """The three displayed brackets of G: coefficients of X0^2, X0 and X1."""
-    mul, frob = ctx.mul, ctx.frob_q
-    A, B, C, D, E = c
-    Aq, Bq, Cq, Dq, Eq = frob(A), frob(B), frob(C), frob(D), frob(E)
-    Aq1 = mul(A, Aq)  # A^(q+1)
-    Cq1 = mul(C, Cq)
-    Dq1 = mul(D, Dq)
-
+def _displays(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly, MPoly, MPoly]:
+    """The displayed brackets u (of X0^2) and v (of X0) of G and the factors
+    g1, g2 of a0, from one `_evaluate` of the tuple: each coefficient is one
+    of its brackets or a Frobenius image of one. The X1 bracket of G is Z0 g1."""
+    s, fq = _evaluate(ctx, c), ctx.frob_q
     u = _zpoly(ctx, {
-        (3, 0): mul(A, Eq) ^ E,
-        (2, 1): mul(Cq, E) ^ mul(D, Eq),
-        (2, 0): mul(A, Dq) ^ C,
-        (1, 2): mul(C, Eq) ^ mul(Dq, E),
-        (1, 1): Aq1 ^ Cq1 ^ Dq1 ^ 1,
-        (0, 3): mul(Aq, E) ^ Eq,
-        (0, 2): mul(Aq, D) ^ Cq,
+        (3, 0): s.ae, (2, 1): s.ce, (2, 0): s.adc, (1, 2): fq(s.ce),
+        (1, 1): s.sig, (0, 3): fq(s.ae), (0, 2): fq(s.adc),
     })
     v = _zpoly(ctx, {
-        (4, 0): mul(A, Eq) ^ E,
-        (3, 0): mul(A, Dq) ^ C,
-        (2, 2): mul(C, Eq) ^ mul(Dq, E),
-        (2, 1): Aq1 ^ mul(B, Eq) ^ mul(Bq, E) ^ 1,
-        (1, 1): mul(B, Dq) ^ mul(Bq, C),
-        (0, 3): mul(Aq, C) ^ Dq,
-        (0, 2): mul(Aq, B) ^ Bq,
+        (4, 0): s.ae, (3, 0): s.adc, (2, 2): fq(s.ce), (2, 1): s.nA ^ s.be ^ 1,
+        (1, 1): fq(s.bcd), (0, 3): fq(s.acd), (0, 2): fq(s.ab),
     })
-    w = _zpoly(ctx, {
-        (4, 0): mul(Cq, E) ^ mul(D, Eq),
-        (3, 0): mul(B, Eq) ^ mul(Bq, E) ^ Cq1 ^ Dq1,
-        (2, 2): mul(Aq, E) ^ Eq,
-        (2, 1): mul(Aq, D) ^ Cq,
-        (2, 0): mul(B, Dq) ^ mul(Bq, C),
-        (1, 2): mul(Aq, C) ^ Dq,
-        (1, 1): mul(Aq, B) ^ Bq,
+    g1 = _zpoly(ctx, {
+        (3, 0): s.ce, (2, 0): s.be ^ s.nC ^ s.nD, (1, 2): fq(s.ae), (1, 1): fq(s.adc),
+        (1, 0): fq(s.bcd), (0, 2): fq(s.acd), (0, 1): fq(s.ab),
     })
-    return u, v, w
+    g2 = _zpoly(ctx, {
+        (4, 0): s.acd, (3, 0): s.ab, (2, 2): s.sig, (2, 1): s.bcd,
+        (1, 2): fq(s.bcd), (0, 4): fq(s.acd), (0, 3): fq(s.ab),
+    })
+    return u, v, g1, g2
+
+
+def _g_display_brackets(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly, MPoly]:
+    """The three displayed brackets of G: coefficients of X0^2, X0 and X1."""
+    u, v, g1, _ = _displays(ctx, c)
+    return u, v, MPoly.var(ctx, Z0) * g1
 
 
 def g_display(ctx: FieldCtx, c: Coeffs) -> MPoly:
-    """G transcribed from its fully expanded display."""
+    """G assembled from its displayed brackets."""
     u, v, w = _g_display_brackets(ctx, c)
     return (
         MPoly.var(ctx, X0, 2) * u
@@ -285,32 +285,7 @@ def g_display(ctx: FieldCtx, c: Coeffs) -> MPoly:
 
 def g1_g2_displays(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly]:
     """The two displayed factors of a0 (degree <= 3 first, degree 4 second)."""
-    mul, frob = ctx.mul, ctx.frob_q
-    A, B, C, D, E = c
-    Aq, Bq, Cq, Dq, Eq = frob(A), frob(B), frob(C), frob(D), frob(E)
-    Aq1 = mul(A, Aq)
-    Cq1 = mul(C, Cq)
-    Dq1 = mul(D, Dq)
-
-    g1 = _zpoly(ctx, {
-        (3, 0): mul(Cq, E) ^ mul(D, Eq),
-        (2, 0): mul(B, Eq) ^ mul(Bq, E) ^ Cq1 ^ Dq1,
-        (1, 2): mul(Aq, E) ^ Eq,
-        (1, 1): mul(Aq, D) ^ Cq,
-        (1, 0): mul(B, Dq) ^ mul(Bq, C),
-        (0, 2): mul(Aq, C) ^ Dq,
-        (0, 1): mul(Aq, B) ^ Bq,
-    })
-    g2 = _zpoly(ctx, {
-        (4, 0): mul(A, Cq) ^ D,
-        (3, 0): mul(A, Bq) ^ B,
-        (2, 2): Aq1 ^ Cq1 ^ Dq1 ^ 1,
-        (2, 1): mul(B, Cq) ^ mul(Bq, D),
-        (1, 2): mul(B, Dq) ^ mul(Bq, C),
-        (0, 4): mul(Aq, C) ^ Dq,
-        (0, 3): mul(Aq, B) ^ Bq,
-    })
-    return g1, g2
+    return _displays(ctx, c)[2:]
 
 
 def build_g(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly, MPoly]:
@@ -324,8 +299,6 @@ def build_g(ctx: FieldCtx, c: Coeffs) -> tuple[MPoly, MPoly, MPoly]:
 
 
 def _detect_degeneration(ctx: FieldCtx, c: Coeffs) -> str:
-    from .theory import cond_C1_C2  # local import: theory depends on field only
-
     c1, c2 = cond_C1_C2(ctx, c)
     if c1:
         return "C1"
@@ -337,32 +310,31 @@ def _detect_degeneration(ctx: FieldCtx, c: Coeffs) -> str:
 def build_variety_system(ctx: FieldCtx, c: Coeffs) -> VarietySystem:
     """Build and verify the full eliminated system for one tuple.
 
+    G = alpha F1 + mu F2, formed from the verbatim F1 and F2, must equal its
+    display, whose X1 bracket is w = Z0 g1; Gbar must factor as stated. As
+    the display's coefficients are `_evaluate`'s brackets, these identities
+    also verify the brackets the theory's cases and verdicts read.
+
     Raises DegenerateSystemError when the X1 coefficient of G vanishes
     identically (exactly the C1/C2 degenerations), since X1 cannot then be
     eliminated.
     """
     f1, f2, g = build_g(ctx, c)
-    gd = g_display(ctx, c)
-    if g != gd:
-        raise AssertionError("expanded display of G does not match its combination")
-
-    u = g.coeff_in(X0, 2).coeff_in(X1, 0)
-    v = g.coeff_in(X0, 1).coeff_in(X1, 0)
-    w = g.coeff_in(X1, 1).coeff_in(X0, 0)
+    u, v, g1, g2 = _displays(ctx, c)
+    w = MPoly.var(ctx, Z0) * g1
+    r = MPoly.var(ctx, X0, 2) * u + MPoly.var(ctx, X0) * v
+    if g != r + MPoly.var(ctx, X1) * w:
+        raise AssertionError("expanded display of G (X1 bracket Z0 * g1) does not match "
+                             "its combination")
     if w.is_zero():
         raise DegenerateSystemError(_detect_degeneration(ctx, c))
 
-    g1, g2 = g1_g2_displays(ctx, c)
     g3 = u
     a2 = g3.square()
     a1 = a2 * MPoly.var(ctx, Z0)
     a0 = g1 * g2
 
-    if w != g1 * MPoly.var(ctx, Z0):
-        raise AssertionError("X1 coefficient of G does not match Z0 * g1")
-
     # Substitute X1 <- (u X0^2 + v X0)/w into F2 and clear the denominator.
-    r = MPoly.var(ctx, X0, 2) * u + MPoly.var(ctx, X0) * v
     alpha = f2.coeff_in(X1, 2).coeff_in(X0, 0)
     beta = f2.coeff_in(X1, 1).coeff_in(X0, 0)
     rho = f2.coeff_in(X1, 0)
@@ -629,6 +601,5 @@ def regime_gcd(ctx: FieldCtx, c: Coeffs) -> MPoly:
     exactly where gcd(a2, a0) does. g3 = 0 gives g1 g2, never constant in the
     regime (the Z0 coefficient of g1 is (BC^q + B^qD)^q != 0).
     """
-    g1, g2 = g1_g2_displays(ctx, c)
-    g3 = _g_display_brackets(ctx, c)[0]
+    g3, _, g1, g2 = _displays(ctx, c)
     return gcd_bivariate(g3, g1) * gcd_bivariate(g3, g2)

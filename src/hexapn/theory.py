@@ -9,11 +9,14 @@ exceptions are reported rather than treated as errors.
 
 The exclusions are vanishing patterns of a few quantities, and one pass,
 `_evaluate`, computes them once per tuple: the Frobenius images, the norms
-of A, C and D, h1, the brackets AB^q + B, AE^q + E, AC^q + D, AD^q + C and
-BC^q + B^qD, sigma = A^(q+1) + C^(q+1) + D^(q+1) + 1, and the conditions C1,
-C2 and C6 read off them. `match_summary_cases`, `predict_verdict`,
-`analyze`, `reconcile` and the search filters all read that one evaluation;
-`cond_C1_C2` is a view of it.
+of A, C and D, h1, the brackets AB^q + B, AE^q + E, AC^q + D, AD^q + C,
+BC^q + B^qD, BE^q + B^qE and C^qE + DE^q, sigma = A^(q+1) + C^(q+1) +
+D^(q+1) + 1, and the conditions C1, C2 and C6 read off them.
+`match_summary_cases`, `predict_verdict`, `analyze`, `reconcile` and the
+search filters all read that one evaluation; `cond_C1_C2` is a view of it.
+The displays of G, g1 and g2 in `sympoly` are tables of the same brackets
+and their Frobenius images, so every variety system that sympoly builds and
+verifies also checks these transcriptions.
 
 Two known transcription discrepancies are resolved in favor of the source
 propositions and evaluated both ways where relevant:
@@ -51,8 +54,10 @@ from .hexanomial import Coeffs
 
 #: One tuple's shared quantities: B^q, E^q, the norms nA = A^(q+1), nC and nD,
 #: h1, the brackets ab = AB^q + B, ae = AE^q + E, acd = AC^q + D,
-#: adc = AD^q + C and bcd = BC^q + B^qD, sig = nA + nC + nD + 1, and C1, C2, C6.
-_Shared = namedtuple("_Shared", "Bq Eq nA nC nD h1 ab ae acd adc bcd sig c1 c2 c6")
+#: adc = AD^q + C, bcd = BC^q + B^qD, be = BE^q + B^qE and ce = C^qE + DE^q,
+#: sig = nA + nC + nD + 1, and C1, C2, C6. The cases, the verdict rules and
+#: sympoly's displays of G, g1 and g2 read them.
+_Shared = namedtuple("_Shared", "Bq Eq nA nC nD h1 ab ae acd adc bcd be ce sig c1 c2 c6")
 
 
 class _ArrayField:
@@ -105,6 +110,8 @@ def _evaluate(ctx: FieldCtx, c: Coeffs) -> _Shared:
     acd = mul(A, Cq) ^ D
     adc = mul(A, Dq) ^ C
     bcd = mul(B, Cq) ^ mul(Bq, D)
+    be = mul(B, Eq) ^ mul(Bq, E)
+    ce = mul(Cq, E) ^ mul(D, Eq)
     sig = nA ^ nC ^ nD ^ 1
     # C1 and C2 ask A^q B = B^q and A^q E = E^q, the Frobenius images of
     # ab = 0 and ae = 0; C2's D = AC^q is acd = 0
@@ -112,7 +119,7 @@ def _evaluate(ctx: FieldCtx, c: Coeffs) -> _Shared:
     c1 = common & (C == 0) & (D == 0)
     c2 = common & (C != 0) & (D != 0) & (nA == 1) & (acd == 0)
     c6 = (adc != 0) | (sig != 0)
-    return _Shared(Bq, Eq, nA, nC, nD, h1, ab, ae, acd, adc, bcd, sig, c1, c2, c6)
+    return _Shared(Bq, Eq, nA, nC, nD, h1, ab, ae, acd, adc, bcd, be, ce, sig, c1, c2, c6)
 
 
 def cond_C1_C2(ctx: FieldCtx, c: Coeffs) -> tuple[bool, bool]:
@@ -235,7 +242,6 @@ def _cases(ctx: FieldCtx, c: Coeffs, s: _Shared, cd=None, c7=None, p12=None) -> 
     p1_p2_values, when the caller has them already."""
     mul, q = ctx.mul, ctx.q
     A, B, C, D, E = c
-    be = mul(B, s.Eq) ^ mul(s.Bq, E)  # BE^q + B^q E
 
     def p12_zero(ctx, c):
         p1, p2 = p12 or p1_p2_values(ctx, c)
@@ -257,11 +263,11 @@ def _cases(ctx: FieldCtx, c: Coeffs, s: _Shared, cd=None, c7=None, p12=None) -> 
         # Frobenius as AD^q + C = AB^q + B != 0; and (B + D)^(q+1) = 1
         gcd & (s.adc == s.ab) & (s.ab != 0) & (ctx.norm_rel(B ^ D) == 1),
         gcd & (E == 0),
-        _where(ctx, (s.h1 == 0) & (s.bcd == 0) & (s.ab == 0) & (be != 0), c,
+        _where(ctx, (s.h1 == 0) & (s.bcd == 0) & (s.ab == 0) & (s.be != 0), c,
                no_root(case7_cubic, c7)),
         # (AE^q + E) / (AE^q + E)^q = D sqrt(D), multiplied out; the two
         # agree where AE^q + E != 0, and this form needs no inverse
-        (s.adc == 0) & (s.ab != 0) & (s.ae != 0) & (s.nD == 1) & (s.nA != 1) & (be == 0)
+        (s.adc == 0) & (s.ab != 0) & (s.ae != 0) & (s.nD == 1) & (s.nA != 1) & (s.be == 0)
         & (s.ae == mul(ctx.frob_q(s.ae), mul(D, ctx.sqrt(D)))),
         (q % 3 == CASE9_CONGRUENCE) & _case9(c, s),
         _where(ctx, c6_branch & (s.ae == 0) & (s.ab != 0) & (D != 0) & (s.nD != 1), c, no_cd_root),
@@ -465,8 +471,6 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
     emp_rules = np.zeros(len(_RULES), dtype=np.int64)  # APN tuples by verdict rule
     prop_says = ctx.q % 3 == CASE9_CONGRUENCE
     summary_says = ctx.q % 3 == 1
-    prop_consistent = True
-    summary_consistent = True
 
     def count(mask) -> int:
         return int(np.count_nonzero(mask))
@@ -493,12 +497,8 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
         r9 = _case9(c, s)
         regime["size"] += count(r9)
         regime["apn"] += count(r9 & emp)
-        prop = count(r9 & (emp == prop_says))
-        summary = count(r9 & (emp == summary_says))
-        regime["prop-reading-matches"] += prop
-        regime["summary-reading-matches"] += summary
-        prop_consistent &= prop == count(r9)
-        summary_consistent &= summary == count(r9)
+        regime["prop-reading-matches"] += count(r9 & (emp == prop_says))
+        regime["summary-reading-matches"] += count(r9 & (emp == summary_says))
 
     rep.confirmations = int(emp_rules[_PROMISING].sum())
     rep.contradictions_c1 += int(emp_rules[_C1])
@@ -507,6 +507,10 @@ def reconcile(ctx: FieldCtx, batch) -> ReconcileReport:
         reason: int(k) for (kind, reason, _), k in zip(_RULES, emp_rules) if kind == "excluded" and k
     }
     rep.case9_regime = regime
+    # a chunk's matches never exceed its regime count, so the totals agree
+    # exactly when every chunk's do
+    prop_consistent = regime["prop-reading-matches"] == regime["size"]
+    summary_consistent = regime["summary-reading-matches"] == regime["size"]
     if regime["size"] == 0:
         rep.congruence_resolution = "no case-9-shaped tuples in batch"
     elif prop_consistent and not summary_consistent:

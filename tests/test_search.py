@@ -321,14 +321,12 @@ def test_random_unfiltered_pinned():
 
 def test_random_sparse_filter_errors():
     # summary case 10 is empty at q=2 (it needs D^(q+1) != 1)
-    from hexapn.search import _MAX_DRAWS_PER_SAMPLE
     job = SearchJob(
         NAMED_SPECS["F4"], "random", samples=1, seed=1,
         filters=SearchFilters(cases=frozenset({10})),
     )
-    if _MAX_DRAWS_PER_SAMPLE <= 1_000_000:
-        with pytest.raises(SearchGateError):
-            run_random(job)
+    with pytest.raises(SearchGateError):
+        run_random(job)
 
 
 def test_manifest_contents():

@@ -123,7 +123,7 @@ def test_builder_verifies_all_invariants_exhaustive_f4(f4):
 
 def test_builder_random_fields():
     rng = random.Random(1)
-    for name in ("F16", "F64"):
+    for name in ("F16", "F64", "F256"):
         ctx = make_field(NAMED_SPECS[name])
         built = 0
         while built < 100:
